@@ -24,7 +24,7 @@ from .nvmodel import (DressedStateReport, build_four_level_model,
 from .operators import (DensityMatrix, DimensionError, HilbertSpace,
                         LindbladModel, Operator, annihilation, basis_state,
                         compose_space, expectation, identity, internal_space,
-                        lindblad_rhs, liouvillian_matrix, number_operator,
+                        liouvillian, lindblad_rhs, liouvillian_matrix, number_operator,
                         product_state, transition)
 from .params import ModelParams, PhysicalParams
 from .csvio import write_spectrum_csv, write_timeseries_csv

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import operators as ops
 from .constants import HBAR, K_B, TWO_PI
@@ -196,6 +195,7 @@ def rate_equation_evolve(a_plus, a_minus, gamma_m, thermal_n, p0, t_grid,
 
     y0 = np.zeros(size)
     y0[: len(p0)] = p0
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(lambda t, p: gen @ p, (t_grid[0], t_grid[-1]), y0,
                     t_eval=t_grid, rtol=1e-11, atol=1e-14, method="DOP853")
     if not sol.success:
@@ -323,6 +323,7 @@ def _correlation_quadrature(block, g0, omega, abscissa, eigs, tail_tol=1e-9):
     if n_steps % 2:
         n_steps += 1
     ts = np.linspace(0.0, t_end, n_steps + 1)
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(lambda t, g: block @ g, (0.0, t_end), g0, t_eval=ts,
                     rtol=1e-10, atol=1e-13, method="DOP853")
     if not sol.success:

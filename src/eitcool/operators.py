@@ -1,4 +1,5 @@
-"""Dense complex linear algebra on composite (internal x Fock) Hilbert spaces.
+"""Dense operators and states on composite (internal x Fock) Hilbert spaces, and
+the Lindblad generator as one sparse (CSR) superoperator, built per solve.
 
 Basis ordering is internal-major and fixed: state index = i_internal * fock_dim + n,
 so serialized operators are bit-comparable across runs.
@@ -15,12 +16,14 @@ at rate gamma/2 * <L^dag L> and is read here as shorthand for the standard form.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
-# Dense-path guard: beyond this total dimension the dense kernels and the
-# vectorized Liouvillian stop being a sensible desk-scale tool.
+# Dense-operator guard: beyond this total dimension the dense d x d operators
+# and states stop being a sensible desk-scale tool.
 MAX_DENSE_DIM = 1024
 
 
@@ -70,19 +73,15 @@ def compose_space(internal_labels, fock_dim) -> HilbertSpace:
     if fock_dim < 2:
         raise ValueError(f"fock_dim must be >= 2, got {fock_dim}")
     space = HilbertSpace(tuple(internal_labels), int(fock_dim))
-    _check_dense_dim(space.dim)
+    if space.dim > MAX_DENSE_DIM:
+        raise DimensionError(
+            f"total dimension {space.dim} exceeds the dense-path guard {MAX_DENSE_DIM}")
     return space
 
 
 def internal_space(internal_labels) -> HilbertSpace:
     """Space carrying only internal levels (degenerate fock_dim = 1)."""
     return HilbertSpace(tuple(internal_labels), 1)
-
-
-def _check_dense_dim(dim):
-    if dim > MAX_DENSE_DIM:
-        raise DimensionError(
-            f"total dimension {dim} exceeds the dense-path guard {MAX_DENSE_DIM}")
 
 
 @dataclass
@@ -182,20 +181,6 @@ class LindbladModel:
                 raise ValueError(f"negative channel rate {rate}")
             if jump.space.dim != self.space.dim:
                 raise DimensionError("jump operator on wrong space")
-        self._rhs_cache = None
-
-    def _rhs_terms(self):
-        """Precompute G = -iH - (1/2) sum gamma L^dag L and the jump sandwiches."""
-        if self._rhs_cache is None:
-            G = -1j * self.hamiltonian.matrix.copy()
-            pairs = []
-            for rate, jump in self.channels:
-                L = jump.matrix
-                Ld = L.conj().T
-                G -= 0.5 * rate * (Ld @ L)
-                pairs.append((rate, L, Ld))
-            self._rhs_cache = (G, pairs)
-        return self._rhs_cache
 
 
 # ---------------------------------------------------------------------------
@@ -260,31 +245,53 @@ def product_state(space, internal_vector, fock_populations) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 # generator
 
+def liouvillian(model: LindbladModel) -> sparse.csr_array:
+    """The Lindblad generator as a CSR superoperator on row-major vec(rho).
+
+    With vec(A rho B) = kron(A, B^T) vec(rho) and G = -iH - (1/2) sum gamma C^dag C,
+    it is kron(G, I) + kron(I, G*) + sum gamma kron(C, C*), summed from COO triplets.
+    """
+    d = model.space.dim
+    G = -1j * model.hamiltonian.matrix
+    sandwiches = []
+    for rate, jump in model.channels:
+        C = jump.matrix
+        G = G - 0.5 * rate * (C.conj().T @ C)
+        sandwiches.append(_kron_triplets(rate * C, C.conj()))
+    I = np.eye(d)
+    terms = [_kron_triplets(G, I), _kron_triplets(I, G.conj())] + sandwiches
+    rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
+    return sparse.coo_array((vals, (rows, cols)), shape=(d * d, d * d)).tocsr()
+
+
+def _kron_triplets(a, b):
+    """(rows, cols, values) of kron(a, b) over the nonzeros of two d x d matrices."""
+    d = b.shape[0]
+    ra, ca = np.nonzero(a)
+    rb, cb = np.nonzero(b)
+    return ((ra[:, None] * d + rb).ravel(), (ca[:, None] * d + cb).ravel(),
+            np.outer(a[ra, ca], b[rb, cb]).ravel())
+
+
 def lindblad_rhs(model: LindbladModel, rho) -> np.ndarray:
     """d(rho)/dt = -i[H, rho] + sum_k (gamma_k/2)(2 L rho L^dag - {L^dag L, rho})."""
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     d = model.space.dim
     if mat.shape != (d, d):
         raise DimensionError(f"state shape {mat.shape} does not match model dimension {d}")
-    G, pairs = model._rhs_terms()
-    out = G @ mat + mat @ G.conj().T
-    for rate, L, Ld in pairs:
-        out += rate * (L @ mat @ Ld)
-    return out
+    return (liouvillian(model) @ mat.ravel()).reshape(d, d)
 
 
 def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
-    """Dense superoperator on row-major vectorized states, vec(A rho B) = kron(A, B^T) vec(rho)."""
+    """Dense view of `liouvillian` for tests and debugging; DimensionError when its
+    16 d^4 bytes exceed physical memory."""
     d = model.space.dim
-    _check_dense_dim(d)
-    I = np.eye(d, dtype=complex)
-    H = model.hamiltonian.matrix
-    L = -1j * (np.kron(H, I) - np.kron(I, H.T))
-    for rate, jump in model.channels:
-        C = jump.matrix
-        CdC = C.conj().T @ C
-        L += rate / 2 * (2 * np.kron(C, C.conj()) - np.kron(CdC, I) - np.kron(I, CdC.T))
-    return L
+    need = 16 * d ** 4
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise DimensionError(f"dense superoperator at dimension {d} needs {need} bytes, "
+                             f"more than the {have} bytes of physical memory")
+    return liouvillian(model).toarray()
 
 
 def expectation(rho: DensityMatrix, op: Operator) -> complex:

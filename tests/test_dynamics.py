@@ -85,6 +85,13 @@ class TestEvolve:
                   for rtol in (1e-4, 5e-5, 2.5e-5, 1.25e-5)]
         assert all(a > b for a, b in zip(errors, errors[1:]))
 
+    def test_meta_reports_generator(self):
+        model = damping_model(fock=6)
+        series = evolve(model, ops.basis_state(model.space, "g", 1), 1.0, 3)
+        assert series.meta["generator_nnz"] == ops.liouvillian(model).nnz
+        assert series.meta["generator_build_s"] > 0.0
+        assert series.meta["nfev"] > 0
+
     def test_records_include_trace(self):
         with pytest.raises(ValueError, match="trace"):
             TimeSeries(times=np.array([0.0, 1.0]),
@@ -127,6 +134,22 @@ class TestSteadyState:
         # no channels: every density matrix is stationary
         space = ops.compose_space(("g",), 3)
         model = ops.LindbladModel(space, ops.identity(space) * 0.0)
+        with pytest.raises(ValueError, match="degenerate"):
+            steady_state(model)
+
+    @pytest.mark.parametrize("ladder_energy", [0.0, 1.1])
+    def test_degenerate_uncoupled_damped_ladders_detected(self, ladder_energy):
+        # two damped Fock ladders on internal levels that nothing couples: one
+        # steady state per ladder.  Without b^dag b the LU factor is exactly
+        # singular; with it the factor exists and the condition estimate reads
+        # about 1e19, seven decades above DEGENERACY_COND.
+        space = ops.compose_space(("a", "b"), 6)
+        b = ops.annihilation(space)
+        pa, pb = ops.transition(space, "a", "a"), ops.transition(space, "b", "b")
+        x = b + b.dagger()
+        H = 0.7 * pb + 0.3 * (pa @ x) + 0.45 * (pb @ x) \
+            + ladder_energy * ops.number_operator(space)
+        model = ops.LindbladModel(space, H, [(0.5, pa @ b), (0.9, pb @ b)])
         with pytest.raises(ValueError, match="degenerate"):
             steady_state(model)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from eitcool import operators as ops
 from eitcool.operators import (DensityMatrix, DimensionError, LindbladModel,
                                annihilation, basis_state, compose_space,
                                expectation, identity, internal_space,
-                               lindblad_rhs, liouvillian_matrix,
+                               liouvillian, lindblad_rhs, liouvillian_matrix,
                                matrix_from_csv, matrix_to_csv, number_operator,
                                transition)
 
@@ -23,6 +25,27 @@ def random_model(rng, labels=LEVELS3, fock=4, n_channels=2):
         c = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         channels.append((rng.uniform(0.1, 2.0), ops.Operator(space, c)))
     return LindbladModel(space, H, channels)
+
+
+def thermal_random_model(rng, labels=LEVELS3, fock=4, n_channels=2):
+    """Random model plus a thermal b / b^dag pair on the Fock ladder."""
+    model = random_model(rng, labels, fock, n_channels)
+    b = annihilation(model.space)
+    n_th, gamma = rng.uniform(0.1, 2.0), rng.uniform(0.1, 1.0)
+    return LindbladModel(model.space, model.hamiltonian, model.channels
+                         + [(gamma * (n_th + 1), b), (gamma * n_th, b.dagger())])
+
+
+def sandwich_rhs(model, rho):
+    """Reference generator on d x d matrices: G rho + rho G^dag + sum gamma L rho L^dag
+    with G = -iH - (1/2) sum gamma L^dag L."""
+    G = -1j * model.hamiltonian.matrix
+    for rate, jump in model.channels:
+        G = G - 0.5 * rate * (jump.matrix.conj().T @ jump.matrix)
+    out = G @ rho + rho @ G.conj().T
+    for rate, jump in model.channels:
+        out = out + rate * (jump.matrix @ rho @ jump.matrix.conj().T)
+    return out
 
 
 def random_density(rng, space):
@@ -159,11 +182,37 @@ class TestGenerator:
 
     def test_liouvillian_matches_rhs(self):
         rng = np.random.default_rng(9)
-        model = random_model(rng, fock=3)
+        model = thermal_random_model(rng, fock=3)
         rho = random_density(rng, model.space)
-        direct = lindblad_rhs(model, rho)
-        via_super = (liouvillian_matrix(model) @ rho.matrix.ravel()).reshape(direct.shape)
-        assert np.abs(direct - via_super).max() < 1e-10
+        want = sandwich_rhs(model, rho.matrix)
+        via_super = (liouvillian_matrix(model) @ rho.matrix.ravel()).reshape(want.shape)
+        assert np.abs(lindblad_rhs(model, rho) - want).max() < 1e-12
+        assert np.abs(via_super - want).max() < 1e-12
+
+    def test_sparse_generator_matches_sandwich_reference(self):
+        rng = np.random.default_rng(12)
+        for labels, fock in ((LEVELS3, 4), (LEVELS6, 2), (("g",), 9)):
+            for _ in range(5):
+                model = thermal_random_model(rng, labels, fock, n_channels=3)
+                rho = random_density(rng, model.space).matrix
+                got = (liouvillian(model) @ rho.ravel()).reshape(rho.shape)
+                assert np.abs(got - sandwich_rhs(model, rho)).max() < 1e-12
+
+    def test_dense_view_refuses_superoperator_beyond_memory(self, monkeypatch):
+        # d = 400: the dense superoperator would need 16 * 400^4 bytes (about 410 GB);
+        # sysconf reports 64 GB, so the outcome does not depend on the host's memory
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16 * 2 ** 20}
+        monkeypatch.setattr(ops.os, "sysconf", pages.__getitem__)
+        space = compose_space(("g", "e"), 200)
+        model = LindbladModel(space, number_operator(space), [(0.1, annihilation(space))])
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match=str(16 * 400 ** 4)):
+                liouvillian_matrix(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
 
 
 class TestExpectation:
