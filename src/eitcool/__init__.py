@@ -26,7 +26,7 @@ from .operators import (DensityMatrix, DimensionError, HilbertSpace,
                         compose_space, expectation, identity, internal_space,
                         liouvillian, lindblad_rhs, liouvillian_matrix, number_operator,
                         product_state, transition)
-from .params import ModelParams, PhysicalParams
+from .params import ModelParams
 from .csvio import write_spectrum_csv, write_timeseries_csv
 from .scenarios import (ConfigError, ScenarioConfig, load_config,
                         robustness_sweep, run, validate_config)

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import operators as ops
 from .constants import HBAR, K_B, TWO_PI
+from .nvmodel import optimal_detuning
 from .operators import DensityMatrix
 from .params import ModelParams
 
@@ -61,13 +62,9 @@ def thermal_occupation(omega_m, temperature) -> float:
 
 
 def fluctuation_spectrum(params: ModelParams, omega) -> complex:
-    """S(omega) = eta^2 (Omega_0^2/2) * 2 i w / (i Gamma w + 2 Delta w + 2 w^2 - Omega_0^2)."""
-    gamma, delta, omega0 = params.gamma_total, params.detuning, params.rabi_omega0
-    denom = 1j * gamma * omega + 2.0 * delta * omega + 2.0 * omega**2 - omega0**2
-    if abs(denom) < 1e-14:
-        raise ZeroDivisionError(
-            f"fluctuation spectrum pole at omega = {omega} for these parameters")
-    return params.eta**2 * (omega0**2 / 2.0) * (2j * omega) / denom
+    """S(omega) = eta^2 (Omega_0^2/2) times the closed-form correlation transform."""
+    return (params.eta**2 * (params.rabi_omega0**2 / 2.0)
+            * correlation_transform_closed_form(params, omega))
 
 
 def _bath_occupation(params: ModelParams) -> float:
@@ -90,10 +87,15 @@ def rates(params: ModelParams) -> RateReport:
     a_minus = num / (gamma**2 + 4.0 * (omega0**2 / 2.0 - delta - 1.0) ** 2)
     w = a_minus - a_plus
     n_th = _bath_occupation(params)
-    gm = params.gamma_mech
-    denom = w + gm
-    n_ss = (a_plus + n_th * gm) / denom if denom > 0 else math.inf
-    return RateReport(a_plus=a_plus, a_minus=a_minus, w=w, n_ss=n_ss, thermal_n=n_th)
+    return RateReport(a_plus=a_plus, a_minus=a_minus, w=w,
+                      n_ss=steady_occupation(a_plus, w, n_th, params.gamma_mech),
+                      thermal_n=n_th)
+
+
+def steady_occupation(a_plus, w, thermal_n, gamma_m) -> float:
+    """(A_+ + N gamma_m) / (W + gamma_m); infinite under net heating (W + gamma_m <= 0)."""
+    denom = w + gamma_m
+    return (a_plus + thermal_n * gamma_m) / denom if denom > 0 else math.inf
 
 
 def rates_at_optimum(m_ratio, gamma_total, eta) -> RateReport:
@@ -104,7 +106,7 @@ def rates_at_optimum(m_ratio, gamma_total, eta) -> RateReport:
     """
     if m_ratio <= 0:
         raise ValueError("m_ratio must be > 0")
-    params = ModelParams(rabi_omega0=m_ratio, detuning=(m_ratio**2 - 2.0) / 2.0,
+    params = ModelParams(rabi_omega0=m_ratio, detuning=optimal_detuning(m_ratio),
                          gamma_total=gamma_total, eta=eta,
                          gamma_mech=0.0, bath="zero")
     return rates(params)
@@ -118,10 +120,9 @@ def rate_in_khz(value, omega_m) -> float:
 def steady_phonon(params: ModelParams, report: RateReport) -> float:
     """Exact steady phonon number (A_+ + N gamma_m) / (W + gamma_m)."""
     gm = params.gamma_mech
-    denom = report.w + gm
-    if denom <= 0:
-        raise ValueError(f"net heating: W + gamma_m = {denom} <= 0")
-    return (report.a_plus + report.thermal_n * gm) / denom
+    if report.w + gm <= 0:
+        raise ValueError(f"net heating: W + gamma_m = {report.w + gm} <= 0")
+    return steady_occupation(report.a_plus, report.w, report.thermal_n, gm)
 
 
 def steady_phonon_terms(params: ModelParams, report: RateReport) -> dict:
@@ -133,7 +134,7 @@ def steady_phonon_terms(params: ModelParams, report: RateReport) -> dict:
     delta = params.detuning
     backaction = (params.gamma_total / (4.0 * delta)) ** 2 if delta != 0 else math.inf
     thermal = report.thermal_n * params.gamma_mech / report.w if report.w > 0 else math.inf
-    optimum = (params.rabi_omega0**2 - 2.0) / 2.0
+    optimum = optimal_detuning(params.rabi_omega0)
     return {
         "backaction": backaction,
         "thermal": thermal,
@@ -150,7 +151,7 @@ def analytic_trajectory(report: RateReport, gamma_m, thermal_n, t):
     denom = report.w + gamma_m
     if denom <= 0:
         raise ValueError("W + gamma_m must be > 0 for a decaying trajectory")
-    n_ss = (report.a_plus + thermal_n * gamma_m) / denom
+    n_ss = steady_occupation(report.a_plus, report.w, thermal_n, gamma_m)
     out = n_ss + np.exp(-denom * t) * (thermal_n - n_ss)
     return float(out) if out.ndim == 0 else out
 

@@ -19,8 +19,6 @@ class EffectiveRates:
     gamma_op_m1: float                      # effective |0> -> |-1> repump rate
     gamma_op_0: float                       # effective dephasing of |0>
     stark_shift_0: float                    # light shift of |0>
-    gamma_plus_eff: float | None = None     # gamma_p1 + gamma_op_p1, set by renormalized_decays
-    gamma_minus_eff: float | None = None
 
     def __post_init__(self):
         for name in ("gamma_op_p1", "gamma_op_m1", "gamma_op_0"):
@@ -74,6 +72,4 @@ def renormalized_decays(gamma_p1, gamma_m1, rates: EffectiveRates):
         raise ValueError("direct decays must be >= 0")
     gamma_plus = gamma_p1 + rates.gamma_op_p1
     gamma_minus = gamma_m1 + rates.gamma_op_m1
-    rates.gamma_plus_eff = gamma_plus
-    rates.gamma_minus_eff = gamma_minus
     return gamma_plus, gamma_minus, gamma_plus + gamma_minus

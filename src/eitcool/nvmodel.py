@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .constants import HBAR, MU_B
+from .constants import G_E_DEFAULT, HBAR, MU_B
 from .effective import EffectiveRates, effective_pump_rates
 from .operators import HilbertSpace, LindbladModel, Operator
-from .params import ModelParams, PhysicalParams
+from .params import ModelParams
 
 LAMBDA_LEVELS = ("+1", "-1", "A2")
 FOUR_LEVELS = ("+1", "-1", "A2", "0")
@@ -114,10 +114,10 @@ def effective_hamiltonian(params: ModelParams, space: HilbertSpace):
 
     dark = dark_state_vector(space)
     a2_dark = np.outer(a2, dark.conj())
-    b = _fock_annihilation(space.fock_dim)
-    V = params.eta * np.kron(
+    b = ops.annihilation(space).matrix
+    V = params.eta * (np.kron(
         (params.rabi_omega0 / math.sqrt(2)) * (a2_dark - a2_dark.conj().T),
-        b - b.conj().T)
+        np.eye(space.fock_dim)) @ (b - b.conj().T))
     return Operator(space, H0), Operator(space, V)
 
 
@@ -126,17 +126,9 @@ def polaron_generator(params: ModelParams, space: HilbertSpace) -> Operator:
     _require_levels(space, LAMBDA_LEVELS)
     zeeman = (ops.transition(space, "+1", "+1").matrix
               - ops.transition(space, "-1", "-1").matrix)
-    b = _fock_annihilation(space.fock_dim)
-    S = -1j * params.eta * (zeeman @ np.kron(np.eye(space.n_internal),
-                                             b - b.conj().T))
+    b = ops.annihilation(space).matrix
+    S = -1j * params.eta * (zeeman @ (b - b.conj().T))
     return Operator(space, S)
-
-
-def _fock_annihilation(nf):
-    b = np.zeros((nf, nf), dtype=complex)
-    for n in range(1, nf):
-        b[n - 1, n] = np.sqrt(n)
-    return b
 
 
 def dressed_states(params: ModelParams) -> DressedStateReport:
@@ -199,16 +191,20 @@ def build_three_level_model(params: ModelParams, fock_dim) -> LindbladModel:
 
 def build_four_level_model(params: ModelParams, fock_dim,
                            effective: EffectiveRates | None = None) -> LindbladModel:
-    """Lambda system plus explicit |0> with leak gamma_0 and effective repump."""
+    """Lambda system plus explicit |0> with leak gamma_0 and effective repump.
+
+    The pump's dephasing of |0> (effective.gamma_op_0) and its light shift
+    (effective.stark_shift_0) are left out.  Nothing couples |0> coherently to
+    the other levels, so coherences between them are never created; those
+    coherences are all that the dephasing and the light shift act on, so
+    <n(t)> does not depend on them (tests/test_nvmodel.py checks it to 1e-12).
+    """
     if effective is None:
         effective = effective_pump_rates(
             params.rabi_pump, params.pump_detuning,
             params.Gamma_0, params.Gamma_p1, params.Gamma_m1)
     space = ops.compose_space(FOUR_LEVELS, fock_dim)
     H = rotating_hamiltonian(params, space)
-    omega_0 = params.level_energies["omega_0"]
-    if omega_0:
-        H = H - omega_0 * transition_sym(space, "0", "0")
     channels = _mechanical_channels(params, space)
     channels.append((params.gamma_p1, ops.transition(space, "+1", "A2")))
     channels.append((params.gamma_m1, ops.transition(space, "-1", "A2")))
@@ -228,9 +224,6 @@ def build_seven_level_model(params: ModelParams, fock_dim) -> LindbladModel:
     """
     space = ops.compose_space(SEVEN_LEVELS, fock_dim)
     H = rotating_hamiltonian(params, space)
-    omega_s = params.level_energies["omega_s"]
-    if omega_s:
-        H = H - omega_s * transition_sym(space, "1A1", "1A1")
     if params.rabi_pump:
         H = H + params.rabi_pump * transition_sym(space, "Ey", "0")
     if params.pump_detuning:
@@ -253,7 +246,7 @@ def build_seven_level_model(params: ModelParams, fock_dim) -> LindbladModel:
 # ---------------------------------------------------------------------------
 # SI-side conversions
 
-def lamb_dicke_from_physical(mass, omega_m, mfg, g_e=2.0028, x0_override=None):
+def lamb_dicke_from_physical(mass, omega_m, mfg, g_e=G_E_DEFAULT, x0_override=None):
     """Zero-point amplitude, gradient coupling (rad/s) and Lamb-Dicke parameter.
 
     x0 = sqrt(hbar / (2 M omega_m)) unless overridden; lambda = g_e mu_B B' x0 / hbar.
@@ -268,11 +261,3 @@ def lamb_dicke_from_physical(mass, omega_m, mfg, g_e=2.0028, x0_override=None):
         x0 = math.sqrt(HBAR / (2.0 * mass * omega_m))
     lam = g_e * MU_B * mfg * x0 / HBAR
     return {"x0": x0, "lambda": lam, "eta": lam / omega_m}
-
-
-def params_from_physical(params: ModelParams, physical: PhysicalParams) -> ModelParams:
-    """Fill eta/lambda from a physical description, keeping omega_m as anchor."""
-    out = lamb_dicke_from_physical(physical.mass, params.omega_m, physical.mfg,
-                                   physical.g_e, physical.x0)
-    return params.replace(eta=out["eta"], lambda_coupling=out["eta"],
-                          physical=physical)

@@ -2,7 +2,7 @@
 the Lindblad generator as one sparse (CSR) superoperator, built per solve.
 
 Basis ordering is internal-major and fixed: state index = i_internal * fock_dim + n,
-so serialized operators are bit-comparable across runs.
+so operators are bit-comparable across runs.
 
 Dissipator convention: every channel (gamma, L) enters the generator in the
 standard trace-preserving Lindblad form
@@ -299,27 +299,3 @@ def expectation(rho: DensityMatrix, op: Operator) -> complex:
     if rho.space.dim != op.space.dim:
         raise DimensionError("state and operator dimensions differ")
     return complex(np.trace(op.matrix @ rho.matrix))
-
-
-# ---------------------------------------------------------------------------
-# debug serialization (row, col, re, im); not a stability-guaranteed format
-
-def matrix_to_csv(matrix, path):
-    m = np.asarray(matrix, dtype=complex)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("row,col,re,im\n")
-        rows, cols = np.nonzero(m)
-        for r, c in zip(rows, cols):
-            fh.write(f"{r},{c},{m[r, c].real:.17g},{m[r, c].imag:.17g}\n")
-
-
-def matrix_from_csv(path, dim):
-    m = np.zeros((dim, dim), dtype=complex)
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "row,col,re,im":
-            raise ValueError(f"unexpected header {header!r}")
-        for line in fh:
-            r, c, re, im = line.strip().split(",")
-            m[int(r), int(c)] = float(re) + 1j * float(im)
-    return m

@@ -8,33 +8,9 @@ only for thermal occupation and for reporting rates in laboratory units.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .constants import TWO_PI
-
-# Rotating-frame level offsets that the printed master equations leave
-# unassigned; they default to zero and only populations feed the recycling
-# loop, so they do not move <n(t)> at the operating points (checked by the
-# recycling-check sensitivity probe).
-DEFAULT_LEVEL_ENERGIES = {
-    "omega_A": 0.0,   # carried for completeness; the rotating frame absorbs it
-    "omega_e": 0.0,   # |E_y> offset beyond the pump detuning
-    "omega_p1": 0.0,  # |+1> offset
-    "omega_m1": 0.0,  # |-1> offset
-    "omega_0": 0.0,   # |0> offset in the four-level model
-    "omega_s": 0.0,   # |1A1> offset in the seven-level model
-}
-
-
-@dataclass
-class PhysicalParams:
-    """Optional SI-side description of the cantilever and field gradient."""
-
-    mass: float | None = None          # kg
-    mfg: float | None = None           # B'(0), T/m
-    bias_field: float | None = None    # B(0), T
-    x0: float | None = None            # zero-point amplitude, m
-    g_e: float = 2.0028
 
 
 @dataclass
@@ -78,9 +54,6 @@ class ModelParams:
     # quasi-static nuclear-bath shift applied to the |-1> level
     nuclear_shift: float = 0.0
 
-    level_energies: dict = field(default_factory=lambda: dict(DEFAULT_LEVEL_ENERGIES))
-    physical: PhysicalParams | None = None
-
     def __post_init__(self):
         if self.gamma_plus is None:
             self.gamma_plus = self.gamma_total / 2
@@ -98,12 +71,6 @@ class ModelParams:
                 "disagree; in omega_m units they are the same quantity")
         if self.gamma_mech is None:
             self.gamma_mech = 1.0 / self.quality_q
-        merged = dict(DEFAULT_LEVEL_ENERGIES)
-        merged.update(self.level_energies)
-        unknown = set(merged) - set(DEFAULT_LEVEL_ENERGIES)
-        if unknown:
-            raise ValueError(f"unknown level-energy keys {sorted(unknown)}")
-        self.level_energies = merged
         self.validate()
 
     def validate(self):

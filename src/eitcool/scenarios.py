@@ -24,8 +24,7 @@ from . import __version__ as code_version
 from . import analytics, dynamics
 from . import operators as ops
 from .constants import TWO_PI
-from .csvio import sha256_of, timeseries_rows, write_csv
-from .effective import effective_pump_rates
+from .csvio import sha256_of, write_csv, write_spectrum_csv
 from .nvmodel import (build_four_level_model, build_seven_level_model,
                       build_three_level_model, dark_state_vector,
                       optimal_detuning)
@@ -192,19 +191,13 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
     omega_m_si = TWO_PI * omega_m_mhz * 1e6
 
     param_kwargs = {"omega_m": omega_m_si}
-    level_energies = {}
     for key in [k for k in entries if k.startswith("params.")]:
         lineno, value = entries.pop(key)
         name = key[len("params."):]
         name, value = _convert_units(name, value, omega_m_si)
-        if name.startswith("level_energies."):
-            level_energies[name.split(".", 1)[1]] = value
-            continue
         if name not in _PARAM_FIELDS:
             raise ConfigError(f"line {lineno}: unknown parameter field {name!r}")
         param_kwargs[name] = value
-    if level_energies:
-        param_kwargs["level_energies"] = level_energies
     try:
         params = ModelParams(**param_kwargs)
     except (TypeError, ValueError) as err:
@@ -312,7 +305,9 @@ def validate_config(path):
     needs_sim = config.scenario in ("cooling-rate-compare", "recycling-check",
                                     "nuclear-bath")
     if needs_sim and config.solver.fock_dim > 64:
-        warnings.append("fock_dim > 64 will be slow on the dense path")
+        warnings.append(
+            "fock_dim > 64 will be slow: each solve steps a generator on "
+            "(levels x fock_dim)^2 density-matrix entries")
     return config, warnings
 
 
@@ -354,8 +349,7 @@ def _run_absorption(config):
     grid = _default_axis(config, "probe_detuning",
                          start=-40.0, stop=10.0, points=2001)
     series = analytics.absorption_spectrum(config.params, grid)
-    write_csv(config.output_dir / "absorption.csv", ["omega", "absorption"],
-              zip(series.omegas, series.values))
+    write_spectrum_csv(series, config.output_dir / "absorption.csv")
     return ["absorption.csv"], {"points": len(grid)}, []
 
 
@@ -446,18 +440,15 @@ def robustness_sweep(config):
     p = config.params
     m_r = p.rabi_omega0
     delta = optimal_detuning(m_r)
-    n_th = analytics.thermal_occupation(p.omega_m, p.temperature)
     gamma_m_list = [0.0, TWO_PI * 10.0 / p.omega_m, TWO_PI * 100.0 / p.omega_m]
     rows = []
     for f in grid:
-        row = [float(f)]
         pp = p.replace(rabi_omega0=m_r * (1.0 + float(f)), detuning=delta,
                        bath="thermal")
         report = analytics.rates(pp)
-        for gm in gamma_m_list:
-            denom = report.w + gm
-            row.append((report.a_plus + n_th * gm) / denom if denom > 0 else np.inf)
-        rows.append(row)
+        rows.append([float(f)] + [
+            analytics.steady_occupation(report.a_plus, report.w, report.thermal_n, gm)
+            for gm in gamma_m_list])
     write_csv(config.output_dir / "robustness.csv",
               ["rabi_fraction", "n_ss_gamma_m_0hz", "n_ss_gamma_m_10hz",
                "n_ss_gamma_m_100hz"], rows)
@@ -472,13 +463,14 @@ def _run_recycling_check(config):
                 ("n7", build_seven_level_model)]
     curves, stats, warnings = {}, {}, []
 
+    def cooling_curve(model):
+        rho0 = ops.basis_state(model.space, "-1", min(3, solver.fock_dim - 2))
+        return dynamics.evolve(model, rho0, solver.t_final, solver.sample_count,
+                               rel_tol=solver.rel_tol, abs_tol=solver.abs_tol)
+
     def one_model(item):
         name, builder = item
-        model = builder(p, solver.fock_dim)
-        rho0 = ops.basis_state(model.space, "-1", min(3, solver.fock_dim - 2))
-        series = dynamics.evolve(model, rho0, solver.t_final, solver.sample_count,
-                                 rel_tol=solver.rel_tol, abs_tol=solver.abs_tol)
-        return name, series
+        return name, cooling_curve(builder(p, solver.fock_dim))
 
     for name, series in _map_indexed(one_model, builders, resolve_threads(config)):
         curves[name] = series.column("n")
@@ -493,21 +485,24 @@ def _run_recycling_check(config):
 
     files = ["recycling.csv"]
     if config.recycling_sensitivity:
+        # The printed master equations leave the energies of the pump pair
+        # |0>, |E_y> and of |1A1> unassigned.  Neither block is coupled
+        # coherently to the rest, only by jumps, which carry populations, so a
+        # common shift of either block must leave <n(t)> where it is.  (A shift
+        # of |0> alone is not free: it is pump_detuning again.)
         rows, shift = [], 10.0
         base_final = curves["n7"][-1]
-        for key, offset in (("omega_0", shift), ("omega_0", -shift),
-                            ("omega_s", shift), ("omega_s", -shift)):
-            energies = dict(p.level_energies)
-            energies[key] = offset
-            model = build_seven_level_model(p.replace(level_energies=energies),
-                                            solver.fock_dim)
-            rho0 = ops.basis_state(model.space, "-1", min(3, solver.fock_dim - 2))
-            series = dynamics.evolve(model, rho0, solver.t_final,
-                                     solver.sample_count,
-                                     rel_tol=solver.rel_tol, abs_tol=solver.abs_tol)
-            final = series.column("n")[-1]
-            rows.append([key, offset, final,
-                         abs(final - base_final) / base_final])
+        base = build_seven_level_model(p, solver.fock_dim)
+        for key, levels in (("omega_0", ("0", "Ey")), ("omega_s", ("1A1",))):
+            for offset in (shift, -shift):
+                H = base.hamiltonian
+                for level in levels:
+                    H = H - offset * ops.transition(base.space, level, level)
+                model = ops.LindbladModel(base.space, H, base.channels,
+                                          base.observables)
+                final = cooling_curve(model).column("n")[-1]
+                rows.append([key, offset, final,
+                             abs(final - base_final) / base_final])
         write_csv(config.output_dir / "offset_sensitivity.csv",
                   ["offset_name", "offset_value", "final_n", "rel_change"], rows)
         files.append("offset_sensitivity.csv")

@@ -346,18 +346,3 @@ def test_acceptance_11_nuclear_bath_determinism(tmp_path):
     report(11, ok, f"checksums match across repeated seed-42 runs: "
                    f"{digests[0] == digests[1]} ({len(digests[0])} files), "
                    f"runtime {elapsed:.0f} s")
-
-
-@pytest.mark.filterwarnings("ignore::UserWarning")
-def test_supplement_three_model_agreement_with_consistent_leak():
-    """The three models agree within 5% over the first 150 omega_m^-1 as
-    well, with the four-level leak set to the metastable bottleneck
-    (gamma_0 = Gamma_dark) as in criterion 6."""
-    p = _fig7_params()
-    curves = _fig7_curves(p.replace(gamma_0=p.gamma_dark), t_final=150.0, samples=76)
-    devs = [float(np.max(np.abs(curves[a] - curves[b])
-                         / np.maximum(curves[a], curves[b])))
-            for a, b in (("n3", "n4"), ("n3", "n7"), ("n4", "n7"))]
-    print(f"[supplement] consistent-leak pairwise deviations: "
-          f"{', '.join(f'{d:.3f}' for d in devs)}")
-    assert all(d <= 0.05 for d in devs)

@@ -83,7 +83,6 @@ class TestRenormalizedDecays:
         gp, gm, total = renormalized_decays(GAMMA / 2, GAMMA / 2, rates)
         assert gp == pytest.approx(7.597, rel=1e-3)
         assert gm == gp
-        assert rates.gamma_plus_eff == gp
 
     def test_symmetric_inputs(self):
         rates = effective_pump_rates(0.4, 1.0, 1.0, 0.25, 0.25)

@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 import eitcool.operators as ops
 from eitcool.dynamics import evolve
+from eitcool.effective import effective_pump_rates
 from eitcool.nvmodel import (bright_state_vector, build_four_level_model,
                              build_seven_level_model, build_three_level_model,
                              dark_state_vector, default_fock_dim,
@@ -222,6 +223,69 @@ class TestModelBuilders:
         rates = EffectiveRates(0.1, 0.1, 0.0, 0.0)
         model = build_four_level_model(fig7_params(), 4, effective=rates)
         assert model.channels[-1][0] == pytest.approx(0.1)
+
+
+def _recycling_n(model):
+    rho0 = ops.basis_state(model.space, "-1", 3)
+    series = evolve(model, rho0, 20.0, 11, rel_tol=1e-8, abs_tol=1e-11)
+    return series.column("n")
+
+
+def _shifted(model, levels, offset):
+    """The model with offset * |level><level| taken off the Hamiltonian."""
+    H = model.hamiltonian
+    for level in levels:
+        H = H - offset * ops.transition(model.space, level, level)
+    return ops.LindbladModel(model.space, H, model.channels, model.observables)
+
+
+def _max_rel_diff(a, b):
+    return float(np.max(np.abs(a - b) / np.abs(b)))
+
+
+@pytest.fixture(scope="module")
+def seven_level_reference():
+    p = fig7_params()
+    p = p.replace(gamma_0=p.gamma_dark)
+    return p, _recycling_n(build_seven_level_model(p, 12))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+class TestFreeLevelEnergies:
+    """Energies the master equations leave unassigned, and the pump terms the
+    four-level model leaves out, act only on coherences that nothing creates,
+    so <n(t)> must not move."""
+
+    def test_four_level_dephasing_and_light_shift_of_level_0_are_inert(self):
+        base = fig7_params()
+        for pump_detuning in (0.0, 5.0):
+            p = base.replace(gamma_0=base.gamma_dark, pump_detuning=pump_detuning)
+            eff = effective_pump_rates(p.rabi_pump, p.pump_detuning,
+                                       p.Gamma_0, p.Gamma_p1, p.Gamma_m1)
+            assert eff.gamma_op_0 > 1.0
+            assert (eff.stark_shift_0 != 0.0) == (pump_detuning != 0.0)
+            model = build_four_level_model(p, 12, effective=eff)
+            p_0 = ops.transition(model.space, "0", "0")
+            full = ops.LindbladModel(
+                model.space, model.hamiltonian + eff.stark_shift_0 * p_0,
+                model.channels + [(eff.gamma_op_0, p_0)], model.observables)
+            assert _max_rel_diff(_recycling_n(full), _recycling_n(model)) < 1e-12
+
+    @pytest.mark.parametrize("levels", [("0", "Ey"), ("1A1",)])
+    def test_seven_level_block_shift_is_inert(self, seven_level_reference, levels):
+        p, n_ref = seven_level_reference
+        model = build_seven_level_model(p, 12)
+        for offset in (10.0, -10.0):
+            n = _recycling_n(_shifted(model, levels, offset))
+            assert _max_rel_diff(n, n_ref) < 1e-12
+
+    def test_shift_of_level_0_alone_is_pump_detuning(self, seven_level_reference):
+        # a shift of |0> alone detunes the pump: it is the pump_detuning knob
+        p, n_ref = seven_level_reference
+        shifted = _recycling_n(_shifted(build_seven_level_model(p, 12), ("0",), 10.0))
+        detuned = _recycling_n(build_seven_level_model(p.replace(pump_detuning=10.0), 12))
+        assert _max_rel_diff(shifted, detuned) < 1e-12
+        assert _max_rel_diff(shifted, n_ref) > 1e-5
 
 
 class TestLambDicke:

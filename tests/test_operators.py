@@ -8,8 +8,7 @@ from eitcool.operators import (DensityMatrix, DimensionError, LindbladModel,
                                annihilation, basis_state, compose_space,
                                expectation, identity, internal_space,
                                liouvillian, lindblad_rhs, liouvillian_matrix,
-                               matrix_from_csv, matrix_to_csv, number_operator,
-                               transition)
+                               number_operator, transition)
 
 LEVELS3 = ("+1", "-1", "A2")
 LEVELS6 = ("+1", "-1", "A2", "0", "Ey", "1A1")
@@ -267,13 +266,3 @@ class TestStateValidation:
         space = compose_space(LEVELS3, 2)
         with pytest.raises(ValueError):
             LindbladModel(space, annihilation(space))
-
-
-def test_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(11)
-    m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    m[2, 3] = 0.0
-    path = tmp_path / "op.csv"
-    matrix_to_csv(m, path)
-    back = matrix_from_csv(path, 5)
-    assert np.abs(back - m).max() < 1e-15

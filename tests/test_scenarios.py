@@ -105,11 +105,12 @@ class TestConfigParsing:
         config = parse_config("# a comment\n\nscenario = absorption  # trailing\n")
         assert config.scenario == "absorption"
 
-    def test_level_energy_override(self):
+    @pytest.mark.parametrize("key", ["omega_0", "omega_p1"])
+    def test_level_energy_key_rejected(self, key):
         text = ("scenario = recycling-check\n"
-                "params.level_energies.omega_0 = 3.0\n")
-        config = parse_config(text)
-        assert config.params.level_energies["omega_0"] == 3.0
+                f"params.level_energies.{key} = 3.0\n")
+        with pytest.raises(ConfigError, match=f"level_energies.{key}"):
+            parse_config(text)
 
 
 class TestShippedConfigs:
