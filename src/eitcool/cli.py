@@ -30,8 +30,6 @@ def build_parser():
     run_p.add_argument("config", help="path to the scenario config file")
     run_p.add_argument("--output-dir", help="override the config output_dir")
     run_p.add_argument("--seed", type=int, help="override the config seed")
-    run_p.add_argument("--threads", type=int,
-                       help="worker pool size (falls back to EITCOOL_THREADS)")
     run_p.add_argument("--rel-tol", type=float, help="override solver.rel_tol")
 
     val_p = sub.add_parser("validate", help="check a config without running it")
@@ -65,8 +63,6 @@ def main(argv=None) -> int:
             config.output_dir = Path(args.output_dir)
         if args.seed is not None:
             config.seed = args.seed
-        if args.threads is not None:
-            config.threads = args.threads
         if args.rel_tol is not None:
             if not 0 < args.rel_tol <= 1e-2:
                 raise ConfigError("--rel-tol must lie in (0, 1e-2]")

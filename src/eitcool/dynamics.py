@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -276,7 +275,7 @@ class MonteCarloResult:
 
 def monte_carlo_detuning(base: ModelParams, delta_max, samples, seed, fock_dim,
                          t_final, sample_count=201, rho0=None,
-                         rel_tol=1e-7, abs_tol=1e-10, threads=1) -> MonteCarloResult:
+                         rel_tol=1e-7, abs_tol=1e-10) -> MonteCarloResult:
     """Average cooling curves over quasi-static nuclear-bath detunings.
 
     Each realization draws delta = delta_max * u with u ~ uniform[-1, 1)
@@ -303,11 +302,7 @@ def monte_carlo_detuning(base: ModelParams, delta_max, samples, seed, fock_dim,
         except SolverError as err:
             raise SolverError(f"realization {idx} failed: {err}") from err
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            series = list(pool.map(one, range(samples)))
-    else:
-        series = [one(i) for i in range(samples)]
+    series = [one(i) for i in range(samples)]
 
     curves = np.stack([s.column("n") for s in series])
     mean_n = curves.mean(axis=0)

@@ -8,6 +8,7 @@ only for thermal occupation and for reporting rates in laboratory units.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .constants import TWO_PI
@@ -74,28 +75,32 @@ class ModelParams:
         self.validate()
 
     def validate(self):
-        rates = {
+        # every bound is written so that NaN fails it as well as +-inf
+        inf = math.inf
+        for name, value in (("quality_q", self.quality_q), ("omega_m", self.omega_m)):
+            if not 0 < value < inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        bounded_below = {
             "gamma_total": self.gamma_total, "gamma_plus": self.gamma_plus,
             "gamma_minus": self.gamma_minus, "gamma_p1": self.gamma_p1,
             "gamma_m1": self.gamma_m1, "gamma_0": self.gamma_0,
             "gamma_dark": self.gamma_dark, "gamma_s": self.gamma_s,
             "Gamma_0": self.Gamma_0, "Gamma_p1": self.Gamma_p1,
             "Gamma_m1": self.Gamma_m1, "rabi_pump": self.rabi_pump,
-            "gamma_mech": self.gamma_mech,
+            "gamma_mech": self.gamma_mech, "eta": self.eta,
+            "temperature": self.temperature,
         }
-        for name, value in rates.items():
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-        if self.eta < 0:
-            raise ValueError("eta must be >= 0")
+        for name, value in bounded_below.items():
+            if not 0 <= value < inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        signed = {"rabi_omega0": self.rabi_omega0, "detuning": self.detuning,
+                  "pump_detuning": self.pump_detuning,
+                  "nuclear_shift": self.nuclear_shift}
+        for name, value in signed.items():
+            if not -inf < value < inf:
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.gamma_plus + self.gamma_minus > self.gamma_total * (1 + 1e-9):
             raise ValueError("gamma_plus + gamma_minus exceeds gamma_total")
-        if self.quality_q <= 0:
-            raise ValueError("quality_q must be > 0")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.omega_m <= 0:
-            raise ValueError("omega_m must be > 0")
         if self.bath not in ("zero", "thermal"):
             raise ValueError(f"bath must be 'zero' or 'thermal', got {self.bath!r}")
         return self

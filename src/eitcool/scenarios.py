@@ -4,15 +4,17 @@ Config grammar (UTF-8, one scenario per file):
     # comment lines and blank lines are ignored
     key = value
 Dotted keys select sections: params.*, solver.*, sweep.<axis>.*, mc.*, fit.*,
-recycling.*; everything else is top-level (scenario, seed, output_dir,
-threads).  Fields suffixed _hz / _mhz are converted to omega_m units and _mk
-to kelvin at parse time, using params.omega_m_mhz (default 1.0) as the SI
-anchor.  CSV outputs are byte-reproducible for a fixed config and seed.
+recycling.*; everything else is top-level (scenario, seed, output_dir).
+Fields suffixed _hz / _mhz are converted to omega_m units and _mk to kelvin at
+parse time, using params.omega_m_mhz (default 1.0) as the SI anchor.  Every
+run is serial, and its CSV outputs are byte-reproducible for a fixed config
+and seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -94,7 +96,6 @@ class ScenarioConfig:
     solver: SolverSpec = field(default_factory=SolverSpec)
     seed: int = 42
     output_dir: Path = Path("out")
-    threads: int = 1
     mc_samples: int = 200
     fit_transient_over_gamma: float = 5.0
     fit_start_fraction: float = 0.2
@@ -158,6 +159,15 @@ def _coerce(value):
         return value
 
 
+def _integer(key, value, minimum):
+    """`value` if it is an integer >= minimum, else a ConfigError naming `key`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"field {key!r}: must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"field {key!r}: must be >= {minimum}, got {value}")
+    return value
+
+
 def _convert_units(key, value, omega_m_si):
     """Strip a unit suffix and rescale the value into internal units."""
     if key.endswith("_mhz"):
@@ -210,9 +220,13 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
         if not hasattr(solver, name):
             raise ConfigError(f"line {lineno}: unknown solver field {name!r}")
         setattr(solver, name, value)
-    if solver.fock_dim < 2:
-        raise ConfigError("field 'solver.fock_dim': must be >= 2 "
-                          "(a single-level ladder carries no phonon)")
+    # fock_dim >= 2: a single-level ladder carries no phonon
+    _integer("solver.fock_dim", solver.fock_dim, 2)
+    _integer("solver.sample_count", solver.sample_count, 2)
+    t_final = solver.t_final
+    if isinstance(t_final, (bool, str)) or not 0 < t_final < math.inf:
+        raise ConfigError(f"field 'solver.t_final': must be finite and > 0, "
+                          f"got {t_final!r}")
     for tol_name in ("rel_tol", "abs_tol"):
         tol = getattr(solver, tol_name)
         if not 0 < tol <= 1e-2:
@@ -239,7 +253,7 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
                 raise ConfigError(f"line {lineno}: scale must be lin or log")
             spec.scale = value
         elif field_name == "points":
-            spec.points = int(value)
+            spec.points = _integer(key, value, 2)
         else:
             _, scaled = _convert_units(axis_name, float(value), omega_m_si)
             setattr(spec, field_name, scaled)
@@ -259,17 +273,21 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
                 raise ConfigError(
                     f"field 'sweep.{axis_name}': needs start, stop and points "
                     "(or an explicit values list)")
-            if spec.points < 2:
-                raise ConfigError(f"field 'sweep.{axis_name}': points must be >= 2")
             if spec.scale == "log" and (spec.start <= 0 or spec.stop <= 0):
                 raise ConfigError(
                     f"field 'sweep.{axis_name}': log scale needs positive bounds")
 
+    # `threads` has no effect (every run is serial); it is parsed only because
+    # bench/configs/*.cfg still set it.  Delete this branch, and its warning in
+    # validate_config, once none of them does.
+    if "threads" in entries:
+        _integer("threads", pop("threads"), 1)
+
     config = ScenarioConfig(
         scenario=scenario, params=params, sweep=sweep, solver=solver,
-        seed=int(pop("seed", 42)), output_dir=Path(pop("output_dir", "out")),
-        threads=int(pop("threads", 0) or 0),
-        mc_samples=int(pop("mc.samples", 200)),
+        seed=_integer("seed", pop("seed", 42), 0),
+        output_dir=Path(pop("output_dir", "out")),
+        mc_samples=_integer("mc.samples", pop("mc.samples", 200), 1),
         fit_transient_over_gamma=float(pop("fit.transient_over_gamma", 5.0)),
         fit_start_fraction=float(pop("fit.start_fraction", 0.2)),
         fit_end_fraction=float(pop("fit.end_fraction", 0.008)),
@@ -302,6 +320,8 @@ def validate_config(path):
             "repump rates are informational only")
     if p.eta > 0.3:
         warnings.append(f"eta = {p.eta} is large for a first-order Lamb-Dicke model")
+    if any(key == "threads" for _, key, _ in _parse_kv_lines(config.raw_text)):
+        warnings.append("'threads' has no effect: every run is serial")
     needs_sim = config.scenario in ("cooling-rate-compare", "recycling-check",
                                     "nuclear-bath")
     if needs_sim and config.solver.fock_dim > 64:
@@ -313,15 +333,6 @@ def validate_config(path):
 
 # ---------------------------------------------------------------------------
 # runners
-
-def resolve_threads(config: ScenarioConfig, override=None):
-    if override:
-        return int(override)
-    if config.threads:
-        return config.threads
-    env = os.environ.get("EITCOOL_THREADS")
-    return int(env) if env else 1
-
 
 def run(config: ScenarioConfig) -> RunManifest:
     """Execute the configured scenario, writing CSVs plus a manifest."""
@@ -361,7 +372,7 @@ def _run_rates_vs_mr(config):
         pp = p.replace(rabi_omega0=float(m_r), detuning=optimal_detuning(m_r))
         report = analytics.rates(pp)
         rate_rows.append([float(m_r), report.a_plus, report.a_minus, report.w])
-        nss_rows.append([float(m_r), analytics.steady_phonon(pp, report)])
+        nss_rows.append([float(m_r), report.n_ss])
     write_csv(config.output_dir / "rates_vs_mr.csv",
               ["m_r", "a_plus", "a_minus", "w"], rate_rows)
     write_csv(config.output_dir / "nss_vs_mr.csv", ["m_r", "n_ss"], nss_rows)
@@ -378,8 +389,7 @@ def _run_steady_map(config):
         for t_k in t_grid:
             pp = p.replace(quality_q=float(q), gamma_mech=1.0 / float(q),
                            temperature=float(t_k), bath="thermal")
-            report = analytics.rates(pp)
-            n_ss = analytics.steady_phonon(pp, report)
+            n_ss = analytics.rates(pp).n_ss
             rows.append([float(q), float(t_k) * 1e3, n_ss, float(np.log10(n_ss))])
     write_csv(config.output_dir / "steady_map.csv",
               ["quality_q", "temperature_mk", "n_ss", "log10_n_ss"], rows)
@@ -391,8 +401,8 @@ def _run_cooling_rate_compare(config):
     p = config.params
     solver = config.solver
     lam = p.lambda_coupling
-
-    def one_point(m_r):
+    rows, nfev = [], 0
+    for m_r in grid:
         pp = p.replace(rabi_omega0=float(m_r), detuning=optimal_detuning(m_r))
         model = build_three_level_model(pp, solver.fock_dim)
         rho0 = _dark_fock_state(model.space, min(3, solver.fock_dim - 4))
@@ -404,28 +414,15 @@ def _run_cooling_rate_compare(config):
             start_fraction=config.fit_start_fraction,
             end_fraction=config.fit_end_fraction)
         analytic = analytics.rates(pp)
-        row = [float(m_r), fit.w_fit, analytic.w, fit.w_fit / lam,
-               analytic.w / lam, fit.n_ss_fit, fit.residual_rms,
-               fit.fit_window[0], fit.fit_window[1]]
-        return row, series.meta["nfev"]
-
-    results = _map_indexed(one_point, grid, resolve_threads(config))
-    rows = [row for row, _ in results]
-    nfev = sum(n for _, n in results)
+        rows.append([float(m_r), fit.w_fit, analytic.w, fit.w_fit / lam,
+                     analytic.w / lam, fit.n_ss_fit, fit.residual_rms,
+                     fit.fit_window[0], fit.fit_window[1]])
+        nfev += series.meta["nfev"]
     write_csv(config.output_dir / "cooling_rate.csv",
               ["m_r", "w_fit", "w_analytic", "w_fit_over_lambda",
                "w_analytic_over_lambda", "n_ss_fit", "residual_rms",
                "fit_t_start", "fit_t_end"], rows)
     return ["cooling_rate.csv"], {"points": len(grid), "nfev": nfev}, []
-
-
-def _map_indexed(fn, items, threads):
-    """Worker-pool map that preserves input order regardless of scheduling."""
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def _dark_fock_state(space, n0):
@@ -468,14 +465,11 @@ def _run_recycling_check(config):
         return dynamics.evolve(model, rho0, solver.t_final, solver.sample_count,
                                rel_tol=solver.rel_tol, abs_tol=solver.abs_tol)
 
-    def one_model(item):
-        name, builder = item
-        return name, cooling_curve(builder(p, solver.fock_dim))
-
-    for name, series in _map_indexed(one_model, builders, resolve_threads(config)):
+    for name, builder in builders:
+        series = cooling_curve(builder(p, solver.fock_dim))
         curves[name] = series.column("n")
         stats[f"nfev_{name}"] = series.meta["nfev"]
-        times = series.times
+    times = series.times
     rows = [[times[k], curves["n3"][k], curves["n4"][k], curves["n7"][k]]
             for k in range(len(times))]
     write_csv(config.output_dir / "recycling.csv", ["t", "n3", "n4", "n7"], rows)
@@ -523,13 +517,12 @@ def _run_nuclear_bath(config):
     else:
         # {0, 0.1, 0.5} MHz converted to omega_m units
         deltas = np.array([0.0, 0.1, 0.5]) * TWO_PI * 1e6 / p.omega_m
-    threads = resolve_threads(config)
     mean_rows, summary_rows, nfev = None, [], 0
     for dm in deltas:
         result = dynamics.monte_carlo_detuning(
             p, float(dm), config.mc_samples, config.seed, solver.fock_dim,
             solver.t_final, sample_count=solver.sample_count,
-            rel_tol=solver.rel_tol, abs_tol=solver.abs_tol, threads=threads)
+            rel_tol=solver.rel_tol, abs_tol=solver.abs_tol)
         if mean_rows is None:
             mean_rows = [[float(t)] for t in result.times]
         for k, v in enumerate(result.mean_n):

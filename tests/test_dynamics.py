@@ -246,13 +246,6 @@ class TestMonteCarlo:
         assert np.array_equal(a.mean_n, b.mean_n)
         assert np.array_equal(a.deltas, b.deltas)
 
-    def test_threaded_matches_serial(self):
-        kwargs = dict(delta_max=0.2, samples=4, seed=5, fock_dim=12,
-                      t_final=8.0, sample_count=11)
-        serial = monte_carlo_detuning(FIG2A, **kwargs, threads=1)
-        threaded = monte_carlo_detuning(FIG2A, **kwargs, threads=4)
-        assert np.array_equal(serial.mean_n, threaded.mean_n)
-
     def test_degradation_monotone_in_delta_max(self):
         # tail phonon number grows with the nuclear-bath spread (Fig. 6 params)
         p = FIG2A.replace(bath="thermal")

@@ -8,10 +8,12 @@ from eitcool import analytics, cli
 from eitcool.constants import TWO_PI
 from eitcool.csvio import sha256_of
 from eitcool.params import ModelParams
-from eitcool.scenarios import (ConfigError, load_config, parse_config, run,
-                               validate_config)
+from eitcool.scenarios import (SCENARIOS, ConfigError, load_config,
+                               parse_config, run, validate_config)
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+REPO = Path(__file__).resolve().parent.parent
+CONFIG_DIR = REPO / "configs"
+BENCH_CONFIG_DIR = REPO / "bench" / "configs"
 
 MINIMAL = """
 scenario = robustness
@@ -112,6 +114,39 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"level_energies.{key}"):
             parse_config(text)
 
+    @pytest.mark.parametrize("line", [
+        "seed = nan", "seed = 1.5", "seed = -1", "seed = true",
+        "mc.samples = inf", "mc.samples = 0", "mc.samples = 2.5",
+        "threads = 0", "threads = 2.5", "threads = nan",
+        "solver.fock_dim = 2.5", "solver.fock_dim = 1",
+        "solver.sample_count = 1", "solver.sample_count = 10.5",
+        "solver.t_final = 0", "solver.t_final = -5", "solver.t_final = inf",
+        "solver.t_final = nan", "solver.t_final = long",
+        "sweep.delta_max.points = 2.5",
+        "params.eta = nan", "params.temperature_mk = inf",
+        "params.gamma_total = -inf"])
+    def test_bad_number_is_named(self, line):
+        key = line.split(" = ")[0]
+        name = key.split(".", 1)[1] if key.startswith("params.") else key
+        name = name.removesuffix("_mk")
+        text = ("scenario = nuclear-bath\nsweep.delta_max.start = 0\n"
+                "sweep.delta_max.stop = 1\n")
+        if not line.startswith("sweep."):
+            text += "sweep.delta_max.points = 2\n"
+        with pytest.raises(ConfigError, match=name):
+            parse_config(text + line + "\n")
+
+    def test_threads_key_is_inert(self, tmp_path):
+        config = parse_config("scenario = absorption\nthreads = 2\n")
+        assert not hasattr(config, "threads")
+        cfg = tmp_path / "threads.cfg"
+        cfg.write_text("scenario = absorption\nthreads = 2\n")
+        _, warnings = validate_config(cfg)
+        assert any("'threads' has no effect" in w for w in warnings)
+        cfg.write_text("scenario = absorption\n")
+        _, warnings = validate_config(cfg)
+        assert not any("threads" in w for w in warnings)
+
 
 class TestShippedConfigs:
     @pytest.mark.parametrize("name", [
@@ -121,6 +156,15 @@ class TestShippedConfigs:
     def test_validates_clean(self, name):
         config, _ = validate_config(CONFIG_DIR / name)
         assert config.scenario in name.replace("_", "-")
+
+    def test_both_config_directories_are_found(self):
+        assert list(CONFIG_DIR.glob("*.cfg")) and list(BENCH_CONFIG_DIR.glob("*.cfg"))
+
+    @pytest.mark.parametrize(
+        "path", sorted(CONFIG_DIR.glob("*.cfg")) + sorted(BENCH_CONFIG_DIR.glob("*.cfg")),
+        ids=lambda path: str(path.relative_to(REPO)))
+    def test_loads(self, path):
+        assert load_config(path).scenario in SCENARIOS
 
     def test_recycling_config_warns_about_strong_pump(self):
         _, warnings = validate_config(CONFIG_DIR / "recycling_check.cfg")
@@ -169,6 +213,19 @@ class TestRunners:
         assert mask.sum() == 1
         assert rows[mask][0, 2] == pytest.approx(0.05205, abs=2e-4)
         assert rows[mask][0, 3] == pytest.approx(math.log10(0.05205), abs=2e-3)
+
+    def test_steady_map_under_net_heating_writes_inf(self, tmp_path):
+        cfg = tmp_path / "heating.cfg"
+        cfg.write_text(
+            "scenario = steady-map\nparams.detuning = -31\n"
+            "sweep.quality_q.values = 1e4,1e5\n"
+            "sweep.temperature_mk.values = 10,20\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--output-dir", str(out)]) == 0
+        assert (out / "manifest.txt").exists()
+        header, rows = read_csv(out / "steady_map.csv")
+        assert header[2] == "n_ss"
+        assert np.all(np.isposinf(rows[:, 2]))
 
     def test_rates_vs_mr_ratio(self, tmp_path):
         text = ("scenario = rates-vs-mr\noutput_dir = {out}\n"
@@ -276,17 +333,13 @@ class TestCli:
         cfg.write_text("scenario = absorption\n")
         assert cli.main(["run", str(cfg), "--rel-tol", "0.5"]) == 2
 
-
-def test_threads_resolution(monkeypatch, tmp_path):
-    from eitcool.scenarios import resolve_threads
-    config = parse_config("scenario = absorption\n")
-    monkeypatch.delenv("EITCOOL_THREADS", raising=False)
-    assert resolve_threads(config) == 1
-    monkeypatch.setenv("EITCOOL_THREADS", "3")
-    assert resolve_threads(config) == 3
-    config.threads = 2
-    assert resolve_threads(config) == 2
-    assert resolve_threads(config, override=5) == 5
+    def test_threads_flag_is_gone(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scenario = absorption\n")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", str(cfg), "--threads", "2"])
+        assert exit_info.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
 
 def test_write_timeseries_csv(tmp_path):
