@@ -23,9 +23,10 @@ from .nvmodel import (DressedStateReport, build_four_level_model,
                       rotating_hamiltonian)
 from .operators import (DensityMatrix, DimensionError, HilbertSpace,
                         LindbladModel, Operator, annihilation, basis_state,
-                        compose_space, expectation, identity, internal_space,
-                        liouvillian, lindblad_rhs, liouvillian_matrix, number_operator,
-                        product_state, transition)
+                        compose_space, expectation, hermitian_coordinates,
+                        identity, internal_space, liouvillian, lindblad_rhs,
+                        liouvillian_matrix, number_operator, product_state,
+                        real_liouvillian, transition)
 from .params import ModelParams
 from .csvio import write_spectrum_csv, write_timeseries_csv
 from .scenarios import (ConfigError, ScenarioConfig, load_config,

@@ -66,26 +66,29 @@ class CoolingFit:
             raise ValueError("fitted rate must be >= 0")
 
 
-def _top_level_population(rho, space):
+def _top_level_population(diag, space):
     """Population of the top two Fock levels (zero when there is no ladder)."""
     if space.fock_dim < 3:
         return 0.0
-    nf = space.fock_dim
-    diag = np.real(np.diag(rho))
-    total = 0.0
-    for i in range(space.n_internal):
-        base = i * nf
-        total += diag[base + nf - 1] + diag[base + nf - 2]
-    return float(total)
+    return float(diag.reshape(space.n_internal, space.fock_dim)[:, -2:].sum())
 
 
 def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
            rel_tol=1e-8, abs_tol=1e-10, checkpoint_every=None) -> TimeSeries:
     """Adaptive Runge-Kutta integration of the master equation.
 
-    Samples on a uniform grid; the state is re-Hermitized as (rho + rho^dag)/2
-    at every sample, and the top-of-ladder population is monitored.  Exceeding
-    the leakage threshold or losing the trace is an error, not a warning.
+    The state is carried as the real coordinates x = T vec(rho) of
+    `operators.hermitian_coordinates` and stepped with the real generator of
+    `operators.real_liouvillian`, so it stays Hermitian by construction.
+    Samples on a uniform grid and monitors the trace (the sum of the diagonal
+    coordinates) and the top-of-ladder population.  Exceeding the leakage
+    threshold or losing the trace is an error, not a warning.
+
+    meta["hermiticity_max"] is the largest imaginary entry dropped from the
+    generator in those coordinates: zero up to rounding when the generator maps
+    Hermitian matrices to Hermitian ones, which the real stepping relies on.
+    meta["steps"] and meta["min_step"] count the accepted RK45 steps over all
+    sample intervals and give the smallest of them.
     """
     for tol in (rel_tol, abs_tol):
         if not 0.0 < tol <= 1e-2:
@@ -98,55 +101,57 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
     from scipy.integrate import RK45
     d = model.space.dim
     start = time.perf_counter()
-    L = ops.liouvillian(model)
+    L, dropped = ops.real_liouvillian(model)
     build_s = time.perf_counter() - start
+    T = ops.hermitian_coordinates(d)
+    T_dag = T.conj().T
 
     times = np.linspace(0.0, float(t_final), int(sample_count))
-    # Tr(op rho) = sum(op^T * rho): one row of op^T per observable, dotted with vec(rho)
-    obs_rows = np.array([op.matrix.T.ravel() for op in model.observables.values()],
-                        dtype=complex).reshape(len(model.observables), d * d)
+    # Tr(op rho) = vec(op^T) . vec(rho) = vec(op^T) T^dag x: one real row per observable
+    obs_rows = np.array([(T_dag.T @ op.matrix.T.ravel()).real
+                         for op in model.observables.values()]).reshape(-1, d * d)
     records = {name: np.empty(len(times)) for name in model.observables}
     records["trace"] = np.empty(len(times))
     leakage = np.empty(len(times))
-    herm_max = 0.0
     min_eig = math.inf
-    nfev = 0
+    nfev = steps = 0
+    min_step = math.inf
 
-    y = rho0.matrix.astype(complex).ravel()
+    y = (T @ rho0.matrix.ravel()).real
     for k, t in enumerate(times):
         if k > 0:
             # stepping RK45 directly keeps only the current state, not every step's
             solver = RK45(lambda _, v: L @ v, times[k - 1], y, t, rtol=rel_tol, atol=abs_tol)
             while solver.status == "running":
                 message = solver.step()
+                if solver.status != "failed":
+                    steps += 1
+                    min_step = min(min_step, float(solver.step_size))
             nfev += solver.nfev
             if solver.status == "failed":
                 raise SolverError(
                     f"integrator failed near t = {t:g}: {message}; "
                     "consider rescaling rel_tol/abs_tol")
             y = solver.y
-        rho = y.reshape(d, d)
-        herm_max = max(herm_max, float(np.max(np.abs(rho - rho.conj().T))))
-        rho = (rho + rho.conj().T) / 2
-        y = rho.ravel()
-        tr = float(np.trace(rho).real)
+        tr = float(y[:d].sum())
         if abs(tr - 1.0) > TRACE_LIMIT:
             raise SolverError(
                 f"trace drifted to {tr} at t = {t:g}; rescale tolerances")
-        leak = _top_level_population(rho, model.space)
+        leak = _top_level_population(y[:d], model.space)
         if leak > LEAKAGE_LIMIT:
             raise LeakageError(
                 f"top-of-ladder population {leak:.3e} at t = {t:g} exceeds "
                 f"{LEAKAGE_LIMIT}; increase fock_dim")
         leakage[k] = leak
         records["trace"][k] = tr
-        for name, value in zip(model.observables, (obs_rows @ y).real):
+        for name, value in zip(model.observables, obs_rows @ y):
             records[name][k] = value
         if checkpoint_every and k % checkpoint_every == 0:
+            rho = (T_dag @ y).reshape(d, d)
             min_eig = min(min_eig, float(np.linalg.eigvalsh(rho)[0]))
 
-    meta = {"rel_tol": rel_tol, "abs_tol": abs_tol, "nfev": nfev,
-            "hermiticity_max": herm_max, "solver": "RK45",
+    meta = {"rel_tol": rel_tol, "abs_tol": abs_tol, "nfev": nfev, "steps": steps,
+            "min_step": min_step, "hermiticity_max": dropped, "solver": "RK45",
             "fock_dim": model.space.fock_dim, "generator_nnz": int(L.nnz),
             "generator_build_s": build_s}
     if checkpoint_every:
@@ -155,38 +160,39 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
 
 
 def steady_state(model: LindbladModel) -> DensityMatrix:
-    """Unit-trace null vector of the Liouvillian, from a sparse LU solve.
+    """Unit-trace null vector of the real generator, from a sparse LU solve.
 
-    The redundant equation for d(rho_00)/dt (the diagonal ones sum to zero) is
-    replaced by Tr rho = 1.  A second steady state makes that system singular: an
-    exactly singular factor or a 1-norm condition estimate above DEGENERACY_COND
-    is an error.
+    In the coordinates of `operators.hermitian_coordinates` the redundant
+    equation for d(rho_00)/dt (the diagonal ones sum to zero) is replaced by
+    Tr rho = 1, the sum of the d diagonal coordinates.  A second steady state
+    makes that system singular: an exactly singular factor or a 1-norm
+    condition estimate above DEGENERACY_COND is an error.
     """
     d = model.space.dim
-    L = ops.liouvillian(model)
+    L, _ = ops.real_liouvillian(model)
     trace_row = sparse.csr_array(
-        (np.ones(d), (np.zeros(d, dtype=int), np.arange(d) * (d + 1))), shape=(1, d * d))
+        (np.ones(d), (np.zeros(d, dtype=int), np.arange(d))), shape=(1, d * d))
     system = sparse.vstack([trace_row, L[1:]], format="csc")
     try:
         lu = splu(system)
     except RuntimeError as err:
         raise ValueError(f"degenerate steady state: singular factor ({err})") from err
-    inverse = LinearOperator(system.shape, dtype=complex, matvec=lu.solve,
-                             rmatvec=lambda v: lu.solve(v, trans="H"))
+    inverse = LinearOperator(system.shape, dtype=float, matvec=lu.solve,
+                             rmatvec=lambda v: lu.solve(v, trans="T"))
     cond = sparse.linalg.norm(system, 1) * onenormest(inverse)
     if cond > DEGENERACY_COND:
         raise ValueError(
             f"degenerate steady state: condition estimate {cond:.3e} of the "
             f"trace-constrained Liouvillian exceeds {DEGENERACY_COND:.0e}")
-    b = np.zeros(d * d, dtype=complex)
+    b = np.zeros(d * d)
     b[0] = 1.0
-    rho = lu.solve(b).reshape(d, d)
-    rho = (rho + rho.conj().T) / 2
-    rho = rho / np.trace(rho).real
-    residual = float(np.max(np.abs(L @ rho.ravel())))
+    x = lu.solve(b)
+    x = x / x[:d].sum()
+    residual = float(np.max(np.abs(L @ x)))
     if residual > 1e-10:
         raise ValueError(f"steady-state residual {residual:.3e} exceeds 1e-10")
-    return DensityMatrix(model.space, rho)
+    rho = ops.hermitian_coordinates(d).conj().T @ x
+    return DensityMatrix(model.space, rho.reshape(d, d))
 
 
 # ---------------------------------------------------------------------------

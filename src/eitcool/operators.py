@@ -1,5 +1,6 @@
 """Dense operators and states on composite (internal x Fock) Hilbert spaces, and
-the Lindblad generator as one sparse (CSR) superoperator, built per solve.
+the Lindblad generator as one sparse (CSR) superoperator, built per solve, with
+its real form in Hermitian coordinates.
 
 Basis ordering is internal-major and fixed: state index = i_internal * fock_dim + n,
 so operators are bit-comparable across runs.
@@ -271,6 +272,39 @@ def _kron_triplets(a, b):
     rb, cb = np.nonzero(b)
     return ((ra[:, None] * d + rb).ravel(), (ca[:, None] * d + cb).ravel(),
             np.outer(a[ra, ca], b[rb, cb]).ravel())
+
+
+def hermitian_coordinates(d) -> sparse.csr_array:
+    """The unitary T with T vec(rho) = x = (rho_ii, sqrt2 Re rho_ij, sqrt2 Im rho_ij), i < j.
+
+    Row-major vec(rho), diagonal coordinates first, then the real and the imaginary
+    parts over the pairs; x is real for Hermitian rho and T^dag x = vec(rho).
+    """
+    i, j = np.triu_indices(d, k=1)
+    upper, lower = i * d + j, j * d + i
+    re_rows = d + np.arange(len(i))
+    im_rows = re_rows + len(i)
+    s = np.full(len(i), 1 / np.sqrt(2))
+    rows = np.concatenate([np.arange(d), re_rows, re_rows, im_rows, im_rows])
+    cols = np.concatenate([np.arange(d) * (d + 1), upper, lower, upper, lower])
+    vals = np.concatenate([np.ones(d), s, s, -1j * s, 1j * s])
+    return sparse.csr_array((vals, (rows, cols)), shape=(d * d, d * d))
+
+
+def real_liouvillian(model: LindbladModel):
+    """(Re(T L T^dag) as CSR, the largest |Im| entry dropped from it).
+
+    A Lindblad generator maps Hermitian matrices to Hermitian ones, so in the
+    coordinates of `hermitian_coordinates` it is real and the dropped part is
+    rounding.  Its first d rows (the diagonal coordinates) sum to zero down each
+    column: the trace is conserved.
+    """
+    T = hermitian_coordinates(model.space.dim)
+    full = (T @ liouvillian(model) @ T.conj().T).tocsr()
+    dropped = float(np.abs(full.data.imag).max(initial=0.0))
+    real = sparse.csr_array((full.data.real, full.indices, full.indptr), shape=full.shape)
+    real.eliminate_zeros()
+    return real, dropped
 
 
 def lindblad_rhs(model: LindbladModel, rho) -> np.ndarray:

@@ -63,6 +63,10 @@ class ModelParams:
         if self.eta is None and self.lambda_coupling is None:
             self.eta = 0.115
         if self.eta is None:
+            # checked under the name it was given, before eta takes its value
+            if not 0 <= self.lambda_coupling < math.inf:
+                raise ValueError(f"lambda_coupling must be finite and >= 0, "
+                                 f"got {self.lambda_coupling}")
             self.eta = self.lambda_coupling
         if self.lambda_coupling is None:
             self.lambda_coupling = self.eta

@@ -168,6 +168,24 @@ def _integer(key, value, minimum):
     return value
 
 
+def _real(key, value):
+    """`value` as a finite float, else a ConfigError naming `key`."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise ConfigError(f"field {key!r}: must be a finite number, got {value!r}")
+    return number
+
+
+def _boolean(key, value):
+    """`value` if it parsed from true/false, else a ConfigError naming `key`."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"field {key!r}: must be true or false, got {value!r}")
+    return value
+
+
 def _convert_units(key, value, omega_m_si):
     """Strip a unit suffix and rescale the value into internal units."""
     if key.endswith("_mhz"):
@@ -204,6 +222,8 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
     for key in [k for k in entries if k.startswith("params.")]:
         lineno, value = entries.pop(key)
         name = key[len("params."):]
+        if name != "bath":
+            value = _real(key, value)
         name, value = _convert_units(name, value, omega_m_si)
         if name not in _PARAM_FIELDS:
             raise ConfigError(f"line {lineno}: unknown parameter field {name!r}")
@@ -219,14 +239,14 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
         name = key[len("solver."):]
         if not hasattr(solver, name):
             raise ConfigError(f"line {lineno}: unknown solver field {name!r}")
+        if name in ("rel_tol", "abs_tol", "t_final"):
+            value = _real(key, value)
         setattr(solver, name, value)
     # fock_dim >= 2: a single-level ladder carries no phonon
     _integer("solver.fock_dim", solver.fock_dim, 2)
     _integer("solver.sample_count", solver.sample_count, 2)
-    t_final = solver.t_final
-    if isinstance(t_final, (bool, str)) or not 0 < t_final < math.inf:
-        raise ConfigError(f"field 'solver.t_final': must be finite and > 0, "
-                          f"got {t_final!r}")
+    if not solver.t_final > 0:
+        raise ConfigError(f"field 'solver.t_final': must be > 0, got {solver.t_final}")
     for tol_name in ("rel_tol", "abs_tol"):
         tol = getattr(solver, tol_name)
         if not 0 < tol <= 1e-2:
@@ -244,7 +264,7 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
         converted_name, _ = _convert_units(axis_name, 0.0, omega_m_si)
         spec = sweep.setdefault(axis_name, AxisSpec(name=converted_name))
         if field_name == "values":
-            raw_values = [float(v) for v in str(value).split(",") if v.strip() != ""]
+            raw_values = [_real(key, v) for v in str(value).split(",") if v.strip() != ""]
             _, scaled = zip(*[_convert_units(axis_name, v, omega_m_si)
                               for v in raw_values]) if raw_values else ((), ())
             spec.values = tuple(scaled)
@@ -255,7 +275,7 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
         elif field_name == "points":
             spec.points = _integer(key, value, 2)
         else:
-            _, scaled = _convert_units(axis_name, float(value), omega_m_si)
+            _, scaled = _convert_units(axis_name, _real(key, value), omega_m_si)
             setattr(spec, field_name, scaled)
     sweep = {spec.name: spec for spec in sweep.values()}
 
@@ -288,10 +308,12 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
         seed=_integer("seed", pop("seed", 42), 0),
         output_dir=Path(pop("output_dir", "out")),
         mc_samples=_integer("mc.samples", pop("mc.samples", 200), 1),
-        fit_transient_over_gamma=float(pop("fit.transient_over_gamma", 5.0)),
-        fit_start_fraction=float(pop("fit.start_fraction", 0.2)),
-        fit_end_fraction=float(pop("fit.end_fraction", 0.008)),
-        recycling_sensitivity=bool(pop("recycling.sensitivity", False)),
+        fit_transient_over_gamma=_real("fit.transient_over_gamma",
+                                       pop("fit.transient_over_gamma", 5.0)),
+        fit_start_fraction=_real("fit.start_fraction", pop("fit.start_fraction", 0.2)),
+        fit_end_fraction=_real("fit.end_fraction", pop("fit.end_fraction", 0.008)),
+        recycling_sensitivity=_boolean("recycling.sensitivity",
+                                       pop("recycling.sensitivity", False)),
         raw_text=text)
     if entries:
         key, (lineno, _) = sorted(entries.items())[0]

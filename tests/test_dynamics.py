@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +10,13 @@ from eitcool.analytics import (analytic_trajectory, bloch_steady_state, rates,
 from eitcool.dynamics import (LeakageError, SolverError, TimeSeries, evolve,
                               extract_cooling_rate, monte_carlo_detuning,
                               steady_state)
-from eitcool.nvmodel import build_three_level_model
+from eitcool.nvmodel import build_four_level_model, build_three_level_model
 from eitcool.params import ModelParams
+from eitcool.scenarios import load_config
+from test_operators import sandwich_rhs
 
 FIG2A = ModelParams()
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def damping_model(gamma=0.8, fock=6):
@@ -88,9 +92,26 @@ class TestEvolve:
     def test_meta_reports_generator(self):
         model = damping_model(fock=6)
         series = evolve(model, ops.basis_state(model.space, "g", 1), 1.0, 3)
-        assert series.meta["generator_nnz"] == ops.liouvillian(model).nnz
+        assert series.meta["generator_nnz"] == ops.real_liouvillian(model)[0].nnz
         assert series.meta["generator_build_s"] > 0.0
         assert series.meta["nfev"] > 0
+        assert 0 < series.meta["steps"] <= series.meta["nfev"]
+        assert series.meta["min_step"] > 0.0
+
+    def test_matches_complex_reference_integration(self):
+        # the complex d x d master equation, integrated 1e3 times tighter than
+        # evolve; evolve's global error at rel_tol 1e-8 stays well below 1e-6
+        from scipy.integrate import solve_ivp
+        model = build_three_level_model(FIG2A, 8)
+        d = model.space.dim
+        rho0 = ops.basis_state(model.space, "-1", 1)
+        series = evolve(model, rho0, 5.0, 11, rel_tol=1e-8, abs_tol=1e-11)
+        ref = solve_ivp(lambda _, y: sandwich_rhs(model, y.reshape(d, d)).ravel(),
+                        (0.0, 5.0), rho0.matrix.ravel(), t_eval=series.times,
+                        rtol=1e-11, atol=1e-14)
+        n_op = model.observables["n"].matrix
+        want = [np.trace(n_op @ y.reshape(d, d)).real for y in ref.y.T]
+        assert np.abs(series.column("n") - want).max() < 1e-6
 
     def test_records_include_trace(self):
         with pytest.raises(ValueError, match="trace"):
@@ -99,7 +120,30 @@ class TestEvolve:
                        leakage=np.zeros(2))
 
 
+def complex_lu_steady_state(model):
+    """Reference: sparse LU of the complex Liouvillian with its rho_00 row
+    replaced by the trace condition."""
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+    d = model.space.dim
+    trace_row = sparse.csr_array(
+        (np.ones(d), (np.zeros(d, dtype=int), np.arange(d) * (d + 1))), shape=(1, d * d))
+    system = sparse.vstack([trace_row, ops.liouvillian(model)[1:]], format="csc")
+    b = np.zeros(d * d, dtype=complex)
+    b[0] = 1.0
+    rho = splu(system).solve(b).reshape(d, d)
+    return (rho + rho.conj().T) / 2
+
+
 class TestSteadyState:
+    @pytest.mark.filterwarnings("ignore:pump Rabi frequency")
+    @pytest.mark.parametrize("builder", [build_three_level_model, build_four_level_model])
+    def test_matches_complex_lu(self, builder):
+        p = load_config(CONFIGS / "recycling_check.cfg").params.replace(bath="thermal")
+        model = builder(p, 10)
+        got = steady_state(model).matrix
+        assert np.abs(got - complex_lu_steady_state(model)).max() < 1e-12
+
     def test_pure_damping_gives_vacuum(self):
         model = damping_model()
         rho = steady_state(model)

@@ -6,9 +6,10 @@ import pytest
 from eitcool import operators as ops
 from eitcool.operators import (DensityMatrix, DimensionError, LindbladModel,
                                annihilation, basis_state, compose_space,
-                               expectation, identity, internal_space,
-                               liouvillian, lindblad_rhs, liouvillian_matrix,
-                               number_operator, transition)
+                               expectation, hermitian_coordinates, identity,
+                               internal_space, liouvillian, lindblad_rhs,
+                               liouvillian_matrix, number_operator,
+                               real_liouvillian, transition)
 
 LEVELS3 = ("+1", "-1", "A2")
 LEVELS6 = ("+1", "-1", "A2", "0", "Ey", "1A1")
@@ -196,6 +197,36 @@ class TestGenerator:
                 rho = random_density(rng, model.space).matrix
                 got = (liouvillian(model) @ rho.ravel()).reshape(rho.shape)
                 assert np.abs(got - sandwich_rhs(model, rho)).max() < 1e-12
+
+    def test_hermitian_coordinates_unitary(self):
+        for d in (1, 2, 5, 12):
+            T = hermitian_coordinates(d).toarray()
+            assert np.abs(T @ T.conj().T - np.eye(d * d)).max() < 1e-15
+
+    def test_hermitian_coordinates_real_on_hermitian_states(self):
+        rng = np.random.default_rng(13)
+        rho = random_density(rng, compose_space(LEVELS3, 3)).matrix
+        x = hermitian_coordinates(9) @ rho.ravel()
+        assert np.abs(x.imag).max() < 1e-15
+        assert np.allclose(x[:9], np.diag(rho).real)
+        assert np.abs(x[:9].sum() - 1.0) < 1e-15
+
+    def test_real_generator_matches_sandwich_reference(self):
+        # same 15 random models as the CSR test: non-Hermitian jumps plus a thermal pair
+        rng = np.random.default_rng(12)
+        for labels, fock in ((LEVELS3, 4), (LEVELS6, 2), (("g",), 9)):
+            for _ in range(5):
+                model = thermal_random_model(rng, labels, fock, n_channels=3)
+                d = model.space.dim
+                T = hermitian_coordinates(d).toarray()
+                # column k of T^dag is vec of the k-th basis matrix
+                basis = T.conj().T.T.reshape(d * d, d, d)
+                want = T @ sandwich_rhs(model, basis).reshape(d * d, d * d).T
+                got, dropped = real_liouvillian(model)
+                assert np.abs(got.toarray() - want).max() < 1e-12
+                assert dropped <= 1e-12
+                # the diagonal-coordinate rows carry d(Tr rho)/dt = 0
+                assert np.abs(got[:d].sum(axis=0)).max() < 1e-12
 
     def test_dense_view_refuses_superoperator_beyond_memory(self, monkeypatch):
         # d = 400: the dense superoperator would need 16 * 400^4 bytes (about 410 GB);

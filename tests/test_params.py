@@ -15,3 +15,9 @@ NUMERIC_FIELDS = [f.name for f in dataclasses.fields(ModelParams)
 def test_non_finite_field_is_named(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         ModelParams(**{name: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_lambda_coupling_is_checked_under_its_own_name(value):
+    with pytest.raises(ValueError, match="^lambda_coupling must be finite"):
+        ModelParams(lambda_coupling=value)

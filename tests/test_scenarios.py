@@ -136,6 +136,35 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=name):
             parse_config(text + line + "\n")
 
+    @pytest.mark.parametrize("line", [
+        "fit.start_fraction = abc", "fit.end_fraction = abc",
+        "fit.transient_over_gamma = abc", "fit.end_fraction = nan",
+        "fit.start_fraction = inf",
+        "sweep.delta_max.start = abc", "sweep.delta_max.stop = abc",
+        "sweep.delta_max.values = 0,abc", "sweep.delta_max.values = 0,nan",
+        "solver.rel_tol = abc", "solver.abs_tol = abc",
+        "params.lambda_coupling = nan", "params.detuning_mhz = abc"])
+    def test_malformed_value_fails_validate_naming_key(self, line, tmp_path, capsys):
+        key = line.split(" = ")[0]
+        axis = {"start": "sweep.delta_max.start = 0", "stop": "sweep.delta_max.stop = 1",
+                "points": "sweep.delta_max.points = 2"}
+        if key.startswith("sweep."):
+            axis = {} if key.endswith("values") else {
+                k: v for k, v in axis.items() if k != key.rsplit(".", 1)[1]}
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("\n".join(["scenario = nuclear-bath", *axis.values(), line, ""]))
+        assert cli.main(["validate", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["no", "yes", "1", "0"])
+    def test_boolean_key_accepts_only_true_false(self, value):
+        text = f"scenario = recycling-check\nrecycling.sensitivity = {value}\n"
+        with pytest.raises(ConfigError, match="recycling.sensitivity"):
+            parse_config(text)
+        for word, want in (("true", True), ("False", False)):
+            text = f"scenario = recycling-check\nrecycling.sensitivity = {word}\n"
+            assert parse_config(text).recycling_sensitivity is want
+
     def test_threads_key_is_inert(self, tmp_path):
         config = parse_config("scenario = absorption\nthreads = 2\n")
         assert not hasattr(config, "threads")
