@@ -21,14 +21,14 @@ from .params import ModelParams
 
 @dataclass
 class RateReport:
-    a_plus: float       # heating coefficient (units omega_m)
+    a_plus: float       # heating coefficient (units omega_m); each field a float or a grid
     a_minus: float      # cooling coefficient
     w: float            # net cooling rate a_minus - a_plus
     n_ss: float         # (a_plus + N gamma_m) / (w + gamma_m)
     thermal_n: float    # bath occupation N(omega_m) used for n_ss
 
     def __post_init__(self):
-        if self.a_plus < 0 or self.a_minus < 0:
+        if np.any(self.a_plus < 0) or np.any(self.a_minus < 0):
             raise ValueError("heating/cooling coefficients must be >= 0")
 
 
@@ -49,16 +49,15 @@ class SpectrumSeries:
 # ---------------------------------------------------------------------------
 # closed forms
 
-def thermal_occupation(omega_m, temperature) -> float:
-    """Bose occupation 1/(exp(hbar omega_m / k_B T) - 1); zero at T = 0."""
-    if temperature < 0:
+def thermal_occupation(omega_m, temperature):
+    """Bose occupation 1/(exp(hbar omega_m / k_B T) - 1); zero at T = 0; T may be a grid."""
+    temperature = np.asarray(temperature, dtype=float)
+    if np.any(temperature < 0):
         raise ValueError("temperature must be >= 0")
-    if temperature == 0.0:
-        return 0.0
-    x = HBAR * omega_m / (K_B * temperature)
-    if x > 700.0:
-        return 0.0
-    return 1.0 / math.expm1(x)
+    with np.errstate(divide="ignore", over="ignore"):
+        x = HBAR * omega_m / (K_B * temperature)
+        n = np.where(x > 700.0, 0.0, 1.0 / np.expm1(x))
+    return float(n) if n.ndim == 0 else n
 
 
 def fluctuation_spectrum(params: ModelParams, omega) -> complex:
@@ -77,14 +76,16 @@ def rates(params: ModelParams) -> RateReport:
     """Heating/cooling coefficients of the optically pumped NV on the phonon.
 
     A_+- = 2 Gamma eta^2 Omega_0^2 / (Gamma^2 + 4 (Omega_0^2/2 +- Delta - 1)^2),
-    equal to 2 Re S(-+ omega_m) of the fluctuation spectrum.
+    equal to 2 Re S(-+ omega_m) of the fluctuation spectrum.  Fields holding
+    grids broadcast, so a whole sweep is one call.
     """
     gamma, delta, omega0 = params.gamma_total, params.detuning, params.rabi_omega0
     if gamma <= 0:
         raise ValueError("gamma_total must be > 0")
-    num = 2.0 * gamma * params.eta**2 * omega0**2
-    a_plus = num / (gamma**2 + 4.0 * (omega0**2 / 2.0 + delta - 1.0) ** 2)
-    a_minus = num / (gamma**2 + 4.0 * (omega0**2 / 2.0 - delta - 1.0) ** 2)
+    # np.square, not **: a float's ** is libm pow, and a grid must round as its points do
+    num = 2.0 * gamma * params.eta**2 * np.square(omega0)
+    a_plus = num / (gamma**2 + 4.0 * np.square(np.square(omega0) / 2.0 + delta - 1.0))
+    a_minus = num / (gamma**2 + 4.0 * np.square(np.square(omega0) / 2.0 - delta - 1.0))
     w = a_minus - a_plus
     n_th = _bath_occupation(params)
     return RateReport(a_plus=a_plus, a_minus=a_minus, w=w,
@@ -92,10 +93,13 @@ def rates(params: ModelParams) -> RateReport:
                       thermal_n=n_th)
 
 
-def steady_occupation(a_plus, w, thermal_n, gamma_m) -> float:
-    """(A_+ + N gamma_m) / (W + gamma_m); infinite under net heating (W + gamma_m <= 0)."""
-    denom = w + gamma_m
-    return (a_plus + thermal_n * gamma_m) / denom if denom > 0 else math.inf
+def steady_occupation(a_plus, w, thermal_n, gamma_m):
+    """(A_+ + N gamma_m) / (W + gamma_m), elementwise on grids; infinite under net
+    heating (W + gamma_m <= 0)."""
+    denom = np.asarray(w + gamma_m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = np.where(denom > 0, (a_plus + thermal_n * gamma_m) / denom, math.inf)
+    return float(n) if n.ndim == 0 else n
 
 
 def rates_at_optimum(m_ratio, gamma_total, eta) -> RateReport:
@@ -277,15 +281,31 @@ def bloch_steady_state(params: ModelParams) -> DensityMatrix:
 
 
 def _correlation_block(params: ModelParams):
-    """Propagating 4-variable block (sx_bd, sy_bd, sx_A2d, sy_A2d) and its IC.
+    """Propagating 4-variable block (sx_bd, sy_bd, sx_A2d, sy_A2d), its IC and
+    eigenvalues; raises unless the correlation decays.
 
     Initial values are <v sigma_y^{A2,d}>_ss in the dark state: (0, 0, -i, 1).
     """
+    if params.gamma_total <= 0 or params.rabi_omega0 <= 0:
+        raise ValueError("correlation transform needs Gamma > 0 and Omega_0 > 0")
     M, _ = bloch_system(params)
     idx = [2, 3, 6, 7]
     block = M[np.ix_(idx, idx)]
+    eigs = np.linalg.eigvals(block)
+    abscissa = float(eigs.real.max())
+    if abscissa >= 0:
+        raise ValueError(
+            f"non-decaying correlation (spectral abscissa {abscissa:.3e} >= 0)")
     g0 = np.array([0.0, 0.0, -1j, 1.0], dtype=complex)
-    return block, g0
+    return block, g0, eigs
+
+
+def _resolvent(block, g0, omegas):
+    """sy_A2d of (-i omega I - M)^-1 g(0); a grid of omegas is one batched solve."""
+    # nonsingular for real omega: every eigenvalue of M has Re < 0
+    A = -1j * np.asarray(omegas)[..., None, None] * np.eye(4)
+    A -= block   # in place, so a grid of n omegas holds one (n, 4, 4) array
+    return np.linalg.solve(A, g0[:, None])[..., 3, 0]
 
 
 def correlation_transform_numeric(params: ModelParams, omega,
@@ -296,27 +316,16 @@ def correlation_transform_numeric(params: ModelParams, omega,
     correlation ODE and applies Simpson's rule with an exponential tail bound.
     Both must match the closed form 2 i w / (i Gamma w + 2 Delta w + 2 w^2 - Omega_0^2).
     """
-    if params.gamma_total <= 0 or params.rabi_omega0 <= 0:
-        raise ValueError("correlation transform needs Gamma > 0 and Omega_0 > 0")
-    block, g0 = _correlation_block(params)
-    eigs = np.linalg.eigvals(block)
-    abscissa = float(eigs.real.max())
-    if abscissa >= 0:
-        raise ValueError(
-            f"non-decaying correlation (spectral abscissa {abscissa:.3e} >= 0)")
+    block, g0, eigs = _correlation_block(params)
     if method == "resolvent":
-        A = -1j * omega * np.eye(4) - block
-        try:
-            x = np.linalg.solve(A, g0)
-        except np.linalg.LinAlgError as err:
-            raise ValueError(f"singular resolvent at omega={omega}: {err}") from None
-        return complex(x[3])
+        return complex(_resolvent(block, g0, omega))
     if method == "quadrature":
-        return _correlation_quadrature(block, g0, omega, abscissa, eigs)
+        return _correlation_quadrature(block, g0, omega, eigs)
     raise ValueError(f"unknown method {method!r}")
 
 
-def _correlation_quadrature(block, g0, omega, abscissa, eigs, tail_tol=1e-9):
+def _correlation_quadrature(block, g0, omega, eigs, tail_tol=1e-9):
+    abscissa = float(eigs.real.max())
     # horizon where |g| e^{alpha t} / |alpha| bounds the dropped tail below tail_tol
     t_end = math.log(max(np.linalg.norm(g0), 1.0) / (tail_tol * abs(abscissa))) / abs(abscissa)
     freq_max = max(float(np.abs(eigs.imag).max()), abs(omega), 1.0)
@@ -347,15 +356,14 @@ def absorption_spectrum(params: ModelParams, probe_detuning_grid) -> SpectrumSer
     """Sideband absorption of the driven NV versus probe frequency offset.
 
     Each point is a steady-state linear-response solve of the Bloch system
-    (resolvent of the correlation block); the result is normalized so the
-    dressed-state resonances peak at 1.  The two-photon-resonant point
-    omega = 0 is an exact dark dip, and values are non-negative.
+    (resolvent of the correlation block, all points in one batched solve); the
+    result is normalized so the dressed-state resonances peak at 1.  The
+    two-photon-resonant point omega = 0 is an exact dark dip, and values are
+    non-negative.
     """
     grid = np.asarray(probe_detuning_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("probe detuning grid is empty")
-    gamma = params.gamma_total
-    values = np.empty(grid.shape, dtype=float)
-    for k, w in enumerate(grid):
-        values[k] = (gamma / 2.0) * correlation_transform_numeric(params, w).real
+    block, g0, _ = _correlation_block(params)
+    values = (params.gamma_total / 2.0) * _resolvent(block, g0, grid).real
     return SpectrumSeries(omegas=grid, values=values)

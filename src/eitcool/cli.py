@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 config error, 3 solver failure, 4 output I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -43,7 +44,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list-scenarios":
         for name in sorted(SCENARIOS):
-            print(f"{name:22s} {SCENARIOS[name]}")
+            print(f"{name:22s} {SCENARIOS[name].description}")
         return EXIT_OK
     if args.command == "validate":
         try:
@@ -64,9 +65,11 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config.seed = args.seed
         if args.rel_tol is not None:
-            if not 0 < args.rel_tol <= 1e-2:
-                raise ConfigError("--rel-tol must lie in (0, 1e-2]")
-            config.solver.rel_tol = args.rel_tol
+            if "solver" not in SCENARIOS[config.scenario].sections:
+                raise ConfigError(f"--rel-tol: scenario {config.scenario!r} "
+                                  "reads no solver section")
+            # replace() re-runs the range checks of SolverSpec
+            config.solver = dataclasses.replace(config.solver, rel_tol=args.rel_tol)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -14,7 +14,7 @@ from scipy.sparse.linalg import LinearOperator, onenormest, splu
 # and 0.2 s to `import eitcool`, which steady states and closed forms do not need
 
 from . import operators as ops
-from .nvmodel import build_three_level_model
+from .nvmodel import LAMBDA_LEVELS, build_three_level_model
 from .operators import DensityMatrix, LindbladModel
 from .params import ModelParams
 
@@ -280,7 +280,7 @@ class MonteCarloResult:
 
 
 def monte_carlo_detuning(base: ModelParams, delta_max, samples, seed, fock_dim,
-                         t_final, sample_count=201, rho0=None,
+                         t_final, sample_count=201,
                          rel_tol=1e-7, abs_tol=1e-10) -> MonteCarloResult:
     """Average cooling curves over quasi-static nuclear-bath detunings.
 
@@ -295,9 +295,8 @@ def monte_carlo_detuning(base: ModelParams, delta_max, samples, seed, fock_dim,
     units = rng.uniform(-1.0, 1.0, size=samples)
     deltas = delta_max * units
 
-    if rho0 is None:
-        probe_model = build_three_level_model(base, fock_dim)
-        rho0 = ops.basis_state(probe_model.space, "-1", min(3, fock_dim - 2))
+    rho0 = ops.basis_state(ops.compose_space(LAMBDA_LEVELS, fock_dim), "-1",
+                           min(3, fock_dim - 2))
 
     def one(idx):
         params_i = base.replace(nuclear_shift=base.nuclear_shift + deltas[idx])

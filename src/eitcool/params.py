@@ -11,6 +11,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import TWO_PI
 
 
@@ -79,30 +81,24 @@ class ModelParams:
         self.validate()
 
     def validate(self):
-        # every bound is written so that NaN fails it as well as +-inf
+        # every bound is written so that NaN fails it as well as +-inf; a field
+        # may hold a numpy grid, and then the bound must hold at every point
         inf = math.inf
-        for name, value in (("quality_q", self.quality_q), ("omega_m", self.omega_m)):
-            if not 0 < value < inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        bounded_below = {
-            "gamma_total": self.gamma_total, "gamma_plus": self.gamma_plus,
-            "gamma_minus": self.gamma_minus, "gamma_p1": self.gamma_p1,
-            "gamma_m1": self.gamma_m1, "gamma_0": self.gamma_0,
-            "gamma_dark": self.gamma_dark, "gamma_s": self.gamma_s,
-            "Gamma_0": self.Gamma_0, "Gamma_p1": self.Gamma_p1,
-            "Gamma_m1": self.Gamma_m1, "rabi_pump": self.rabi_pump,
-            "gamma_mech": self.gamma_mech, "eta": self.eta,
-            "temperature": self.temperature,
-        }
-        for name, value in bounded_below.items():
-            if not 0 <= value < inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        signed = {"rabi_omega0": self.rabi_omega0, "detuning": self.detuning,
-                  "pump_detuning": self.pump_detuning,
-                  "nuclear_shift": self.nuclear_shift}
-        for name, value in signed.items():
-            if not -inf < value < inf:
-                raise ValueError(f"{name} must be finite, got {value}")
+        bounds = (
+            ("finite and > 0", lambda v: (0 < v) & (v < inf), ("quality_q", "omega_m")),
+            ("finite and >= 0", lambda v: (0 <= v) & (v < inf),
+             ("gamma_total", "gamma_plus", "gamma_minus", "gamma_p1", "gamma_m1",
+              "gamma_0", "gamma_dark", "gamma_s", "Gamma_0", "Gamma_p1",
+              "Gamma_m1", "rabi_pump", "gamma_mech", "eta", "temperature")),
+            ("finite", lambda v: (-inf < v) & (v < inf),
+             ("rabi_omega0", "detuning", "pump_detuning", "nuclear_shift")),
+        )
+        for bound, holds, names in bounds:
+            for name in names:
+                value = getattr(self, name)
+                ok = holds(value)
+                if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+                    raise ValueError(f"{name} must be {bound}, got {value}")
         if self.gamma_plus + self.gamma_minus > self.gamma_total * (1 + 1e-9):
             raise ValueError("gamma_plus + gamma_minus exceeds gamma_total")
         if self.bath not in ("zero", "thermal"):

@@ -4,11 +4,12 @@ Config grammar (UTF-8, one scenario per file):
     # comment lines and blank lines are ignored
     key = value
 Dotted keys select sections: params.*, solver.*, sweep.<axis>.*, mc.*, fit.*,
-recycling.*; everything else is top-level (scenario, seed, output_dir).
-Fields suffixed _hz / _mhz are converted to omega_m units and _mk to kelvin at
-parse time, using params.omega_m_mhz (default 1.0) as the SI anchor.  Every
-run is serial, and its CSV outputs are byte-reproducible for a fixed config
-and seed.
+recycling.*; everything else is top-level (scenario, seed, output_dir).  A
+key of an axis or section that SCENARIOS does not list for the scenario is an
+error.  Fields suffixed _hz / _mhz are converted to omega_m units and _mk to
+kelvin at parse time, using params.omega_m_mhz (default 1.0) as the SI anchor.
+Every run is serial, and its CSV outputs are byte-reproducible for a fixed
+config and seed.
 """
 
 from __future__ import annotations
@@ -37,29 +38,19 @@ class ConfigError(ValueError):
     """Malformed or inconsistent scenario configuration."""
 
 
-SCENARIOS = {
-    "absorption": "sideband absorption spectrum with the EIT dark dip",
-    "rates-vs-mr": "cooling/heating coefficients and net rate versus m_R",
-    "steady-map": "log10 steady phonon number over (Q, T)",
-    "cooling-rate-compare": "fitted Lindblad cooling rate versus the closed form",
-    "robustness": "steady phonon number versus fractional Rabi error",
-    "recycling-check": "three-, four- and seven-level cooling curves",
-    "nuclear-bath": "ensemble-averaged cooling under random |-1> shifts",
-}
+@dataclass(frozen=True)
+class Scenario:
+    """One row of SCENARIOS (after the runners): the sweep axes and sections a
+    scenario reads, and the params its closed forms need > 0."""
+    description: str
+    runner: object
+    axes: tuple = ()
+    sections: tuple = ()
+    positive: tuple = ()
 
-# virtual sweep axes each scenario understands (beyond ModelParams fields)
-SCENARIO_AXES = {
-    "absorption": ("probe_detuning",),
-    "rates-vs-mr": ("rabi_omega0",),
-    "steady-map": ("quality_q", "temperature"),
-    "cooling-rate-compare": ("rabi_omega0",),
-    "robustness": ("rabi_fraction",),
-    "recycling-check": (),
-    "nuclear-bath": ("delta_max",),
-}
 
 _PARAM_FIELDS = {f.name for f in dataclasses.fields(ModelParams)}
-_UNIT_SUFFIXES = ("_mhz", "_hz", "_mk")
+_SECTIONS = ("solver", "mc", "fit", "recycling")
 
 
 @dataclass
@@ -86,6 +77,19 @@ class SolverSpec:
     fock_dim: int = 12
     t_final: float = 200.0
     sample_count: int = 201
+
+    def __post_init__(self):
+        # here, so that the parser and the CLI's --rel-tol share one check
+        for name in ("rel_tol", "abs_tol", "t_final"):
+            setattr(self, name, _real(f"solver.{name}", getattr(self, name)))
+        # fock_dim >= 2: a single-level ladder carries no phonon
+        _integer("solver.fock_dim", self.fock_dim, 2)
+        _integer("solver.sample_count", self.sample_count, 2)
+        if not self.t_final > 0:
+            raise ConfigError(f"field 'solver.t_final': must be > 0, got {self.t_final}")
+        for tol_name in ("rel_tol", "abs_tol"):
+            if not 0 < getattr(self, tol_name) <= 1e-2:
+                raise ConfigError(f"field 'solver.{tol_name}': must lie in (0, 1e-2]")
 
 
 @dataclass
@@ -149,14 +153,12 @@ def _coerce(value):
     low = value.lower()
     if low in ("true", "false"):
         return low == "true"
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        return value
+    for kind in (int, float):
+        try:
+            return kind(value)
+        except ValueError:
+            pass
+    return value
 
 
 def _integer(key, value, minimum):
@@ -214,6 +216,12 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
         raise ConfigError(
             f"field 'scenario': unknown scenario {scenario!r}; "
             f"known: {', '.join(sorted(SCENARIOS))}")
+    reads = SCENARIOS[scenario]
+    for key, (lineno, _) in entries.items():
+        section = key.partition(".")[0]
+        if section in _SECTIONS and section not in reads.sections:
+            raise ConfigError(f"line {lineno}: scenario {scenario!r} reads no "
+                              f"{section}.* keys, got {key!r}")
 
     omega_m_mhz = pop("params.omega_m_mhz", 1.0)
     omega_m_si = TWO_PI * omega_m_mhz * 1e6
@@ -232,27 +240,21 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
         params = ModelParams(**param_kwargs)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{path_hint}: invalid params: {err}") from None
+    for name in reads.positive:
+        if not getattr(params, name) > 0:
+            raise ConfigError(f"field 'params.{name}': scenario {scenario!r} "
+                              f"needs it > 0, got {getattr(params, name)}")
 
-    solver = SolverSpec()
+    solver_kwargs = {}
     for key in [k for k in entries if k.startswith("solver.")]:
         lineno, value = entries.pop(key)
         name = key[len("solver."):]
-        if not hasattr(solver, name):
+        if name not in {f.name for f in dataclasses.fields(SolverSpec)}:
             raise ConfigError(f"line {lineno}: unknown solver field {name!r}")
-        if name in ("rel_tol", "abs_tol", "t_final"):
-            value = _real(key, value)
-        setattr(solver, name, value)
-    # fock_dim >= 2: a single-level ladder carries no phonon
-    _integer("solver.fock_dim", solver.fock_dim, 2)
-    _integer("solver.sample_count", solver.sample_count, 2)
-    if not solver.t_final > 0:
-        raise ConfigError(f"field 'solver.t_final': must be > 0, got {solver.t_final}")
-    for tol_name in ("rel_tol", "abs_tol"):
-        tol = getattr(solver, tol_name)
-        if not 0 < tol <= 1e-2:
-            raise ConfigError(f"field 'solver.{tol_name}': must lie in (0, 1e-2]")
+        solver_kwargs[name] = value
+    solver = SolverSpec(**solver_kwargs)
 
-    sweep = {}
+    sweep, axis_lines = {}, {}
     axis_fields = {"start", "stop", "points", "scale", "values"}
     for key in [k for k in entries if k.startswith("sweep.")]:
         lineno, value = entries.pop(key)
@@ -261,13 +263,12 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: sweep keys look like "
                               f"sweep.<axis>.<{'|'.join(sorted(axis_fields))}>")
         axis_name, field_name = parts[1], parts[2]
+        axis_lines.setdefault(axis_name, lineno)
         converted_name, _ = _convert_units(axis_name, 0.0, omega_m_si)
         spec = sweep.setdefault(axis_name, AxisSpec(name=converted_name))
         if field_name == "values":
-            raw_values = [_real(key, v) for v in str(value).split(",") if v.strip() != ""]
-            _, scaled = zip(*[_convert_units(axis_name, v, omega_m_si)
-                              for v in raw_values]) if raw_values else ((), ())
-            spec.values = tuple(scaled)
+            spec.values = tuple(_convert_units(axis_name, _real(key, v), omega_m_si)[1]
+                                for v in str(value).split(",") if v.strip())
         elif field_name == "scale":
             if value not in ("lin", "log"):
                 raise ConfigError(f"line {lineno}: scale must be lin or log")
@@ -277,25 +278,25 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
         else:
             _, scaled = _convert_units(axis_name, _real(key, value), omega_m_si)
             setattr(spec, field_name, scaled)
-    sweep = {spec.name: spec for spec in sweep.values()}
 
     for axis_name, spec in sweep.items():
-        allowed = set(SCENARIO_AXES[scenario]) | _PARAM_FIELDS
-        if axis_name not in allowed:
-            raise ConfigError(
-                f"field 'sweep.{axis_name}': scenario {scenario!r} does not "
-                f"recognize this axis; it understands {SCENARIO_AXES[scenario]}")
-        if spec.values is not None:
-            if len(spec.values) < 2:
-                raise ConfigError(f"field 'sweep.{axis_name}': needs >= 2 values")
-        else:
-            if spec.start is None or spec.stop is None or spec.points is None:
-                raise ConfigError(
-                    f"field 'sweep.{axis_name}': needs start, stop and points "
-                    "(or an explicit values list)")
-            if spec.scale == "log" and (spec.start <= 0 or spec.stop <= 0):
-                raise ConfigError(
-                    f"field 'sweep.{axis_name}': log scale needs positive bounds")
+        where = f"line {axis_lines[axis_name]}: field 'sweep.{axis_name}'"
+        if spec.name not in reads.axes:
+            raise ConfigError(f"{where}: scenario {scenario!r} does not recognize "
+                              f"this axis; it understands {reads.axes}")
+        if spec.values is not None and len(spec.values) < 2:
+            raise ConfigError(f"{where}: needs >= 2 values")
+        if spec.values is None and None in (spec.start, spec.stop, spec.points):
+            raise ConfigError(f"{where}: needs start, stop and points (or a values list)")
+        if spec.values is None and spec.scale == "log" and min(spec.start, spec.stop) <= 0:
+            raise ConfigError(f"{where}: log scale needs positive bounds")
+        if spec.name in _PARAM_FIELDS:
+            # the bounds of ModelParams.validate, on the whole grid at once
+            try:
+                params.replace(**{spec.name: spec.grid()})
+            except ValueError as err:
+                raise ConfigError(f"{where}: {err}") from None
+    sweep = {spec.name: spec for spec in sweep.values()}
 
     # `threads` has no effect (every run is serial); it is parsed only because
     # bench/configs/*.cfg still set it.  Delete this branch, and its warning in
@@ -303,15 +304,22 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
     if "threads" in entries:
         _integer("threads", pop("threads"), 1)
 
+    transient = _real("fit.transient_over_gamma", pop("fit.transient_over_gamma", 5.0))
+    start = _real("fit.start_fraction", pop("fit.start_fraction", 0.2))
+    end = _real("fit.end_fraction", pop("fit.end_fraction", 0.008))
+    if not (transient >= 0 and 0 < end < start <= 1):
+        raise ConfigError(
+            "fields 'fit.transient_over_gamma', 'fit.start_fraction', 'fit.end_fraction': "
+            f"need 0 <= transient_over_gamma and 0 < end_fraction < start_fraction <= 1, "
+            f"got {transient}, {start}, {end}")
+
     config = ScenarioConfig(
         scenario=scenario, params=params, sweep=sweep, solver=solver,
         seed=_integer("seed", pop("seed", 42), 0),
         output_dir=Path(pop("output_dir", "out")),
         mc_samples=_integer("mc.samples", pop("mc.samples", 200), 1),
-        fit_transient_over_gamma=_real("fit.transient_over_gamma",
-                                       pop("fit.transient_over_gamma", 5.0)),
-        fit_start_fraction=_real("fit.start_fraction", pop("fit.start_fraction", 0.2)),
-        fit_end_fraction=_real("fit.end_fraction", pop("fit.end_fraction", 0.008)),
+        fit_transient_over_gamma=transient, fit_start_fraction=start,
+        fit_end_fraction=end,
         recycling_sensitivity=_boolean("recycling.sensitivity",
                                        pop("recycling.sensitivity", False)),
         raw_text=text)
@@ -344,9 +352,8 @@ def validate_config(path):
         warnings.append(f"eta = {p.eta} is large for a first-order Lamb-Dicke model")
     if any(key == "threads" for _, key, _ in _parse_kv_lines(config.raw_text)):
         warnings.append("'threads' has no effect: every run is serial")
-    needs_sim = config.scenario in ("cooling-rate-compare", "recycling-check",
-                                    "nuclear-bath")
-    if needs_sim and config.solver.fock_dim > 64:
+    # solver.fock_dim is accepted only where a scenario reads it
+    if config.solver.fock_dim > 64:
         warnings.append(
             "fock_dim > 64 will be slow: each solve steps a generator on "
             "(levels x fock_dim)^2 density-matrix entries")
@@ -361,7 +368,7 @@ def run(config: ScenarioConfig) -> RunManifest:
     t0 = time.perf_counter()
     outdir = config.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    runner = _RUNNERS[config.scenario]
+    runner = SCENARIOS[config.scenario].runner
     files, stats, warnings = runner(config)
     outputs = {name: sha256_of(outdir / name) for name in files}
     manifest = RunManifest(
@@ -373,9 +380,7 @@ def run(config: ScenarioConfig) -> RunManifest:
 
 
 def _default_axis(config, name, **kwargs):
-    if name in config.sweep:
-        return config.sweep[name].grid()
-    return AxisSpec(name=name, **kwargs).grid()
+    return config.sweep.get(name, AxisSpec(name=name, **kwargs)).grid()
 
 
 def _run_absorption(config):
@@ -388,16 +393,12 @@ def _run_absorption(config):
 
 def _run_rates_vs_mr(config):
     grid = _default_axis(config, "rabi_omega0", start=2.0, stop=12.0, points=101)
-    p = config.params
-    rate_rows, nss_rows = [], []
-    for m_r in grid:
-        pp = p.replace(rabi_omega0=float(m_r), detuning=optimal_detuning(m_r))
-        report = analytics.rates(pp)
-        rate_rows.append([float(m_r), report.a_plus, report.a_minus, report.w])
-        nss_rows.append([float(m_r), report.n_ss])
-    write_csv(config.output_dir / "rates_vs_mr.csv",
-              ["m_r", "a_plus", "a_minus", "w"], rate_rows)
-    write_csv(config.output_dir / "nss_vs_mr.csv", ["m_r", "n_ss"], nss_rows)
+    report = analytics.rates(config.params.replace(
+        rabi_omega0=grid, detuning=optimal_detuning(grid)))
+    write_csv(config.output_dir / "rates_vs_mr.csv", ["m_r", "a_plus", "a_minus", "w"],
+              np.column_stack([grid, report.a_plus, report.a_minus, report.w]))
+    write_csv(config.output_dir / "nss_vs_mr.csv", ["m_r", "n_ss"],
+              np.column_stack([grid, report.n_ss]))
     return ["rates_vs_mr.csv", "nss_vs_mr.csv"], {"points": len(grid)}, []
 
 
@@ -405,14 +406,11 @@ def _run_steady_map(config):
     q_grid = _default_axis(config, "quality_q", start=1e3, stop=1e7,
                            points=41, scale="log")
     t_grid = _default_axis(config, "temperature", start=1e-3, stop=0.1, points=34)
-    p = config.params
-    rows = []
-    for q in q_grid:
-        for t_k in t_grid:
-            pp = p.replace(quality_q=float(q), gamma_mech=1.0 / float(q),
-                           temperature=float(t_k), bath="thermal")
-            n_ss = analytics.rates(pp).n_ss
-            rows.append([float(q), float(t_k) * 1e3, n_ss, float(np.log10(n_ss))])
+    q, t_k = np.meshgrid(q_grid, t_grid, indexing="ij")   # rows: Q outer, T inner
+    n_ss = analytics.rates(config.params.replace(
+        quality_q=q, gamma_mech=1.0 / q, temperature=t_k, bath="thermal")).n_ss
+    rows = np.column_stack([q.ravel(), t_k.ravel() * 1e3, n_ss.ravel(),
+                            np.log10(n_ss.ravel())])
     write_csv(config.output_dir / "steady_map.csv",
               ["quality_q", "temperature_mk", "n_ss", "log10_n_ss"], rows)
     return ["steady_map.csv"], {"points": len(rows)}, []
@@ -427,7 +425,8 @@ def _run_cooling_rate_compare(config):
     for m_r in grid:
         pp = p.replace(rabi_omega0=float(m_r), detuning=optimal_detuning(m_r))
         model = build_three_level_model(pp, solver.fock_dim)
-        rho0 = _dark_fock_state(model.space, min(3, solver.fock_dim - 4))
+        fock_pops = np.eye(solver.fock_dim)[min(3, solver.fock_dim - 4)]
+        rho0 = ops.product_state(model.space, dark_state_vector(model.space), fock_pops)
         series = dynamics.evolve(model, rho0, solver.t_final, solver.sample_count,
                                  rel_tol=solver.rel_tol, abs_tol=solver.abs_tol)
         fit = dynamics.extract_cooling_rate(
@@ -447,30 +446,19 @@ def _run_cooling_rate_compare(config):
     return ["cooling_rate.csv"], {"points": len(grid), "nfev": nfev}, []
 
 
-def _dark_fock_state(space, n0):
-    pops = np.zeros(space.fock_dim)
-    pops[n0] = 1.0
-    return ops.product_state(space, dark_state_vector(space), pops)
-
-
 def robustness_sweep(config):
     """Steady phonon number versus fractional Rabi error (three gamma_m curves)."""
     grid = _default_axis(config, "rabi_fraction", start=-0.3, stop=0.3, points=301)
     p = config.params
     m_r = p.rabi_omega0
-    delta = optimal_detuning(m_r)
+    report = analytics.rates(p.replace(rabi_omega0=m_r * (1.0 + grid),
+                                       detuning=optimal_detuning(m_r), bath="thermal"))
     gamma_m_list = [0.0, TWO_PI * 10.0 / p.omega_m, TWO_PI * 100.0 / p.omega_m]
-    rows = []
-    for f in grid:
-        pp = p.replace(rabi_omega0=m_r * (1.0 + float(f)), detuning=delta,
-                       bath="thermal")
-        report = analytics.rates(pp)
-        rows.append([float(f)] + [
-            analytics.steady_occupation(report.a_plus, report.w, report.thermal_n, gm)
-            for gm in gamma_m_list])
+    columns = [analytics.steady_occupation(report.a_plus, report.w, report.thermal_n, gm)
+               for gm in gamma_m_list]
     write_csv(config.output_dir / "robustness.csv",
               ["rabi_fraction", "n_ss_gamma_m_0hz", "n_ss_gamma_m_10hz",
-               "n_ss_gamma_m_100hz"], rows)
+               "n_ss_gamma_m_100hz"], np.column_stack([grid, *columns]))
     return ["robustness.csv"], {"points": len(grid)}, []
 
 
@@ -491,10 +479,8 @@ def _run_recycling_check(config):
         series = cooling_curve(builder(p, solver.fock_dim))
         curves[name] = series.column("n")
         stats[f"nfev_{name}"] = series.meta["nfev"]
-    times = series.times
-    rows = [[times[k], curves["n3"][k], curves["n4"][k], curves["n7"][k]]
-            for k in range(len(times))]
-    write_csv(config.output_dir / "recycling.csv", ["t", "n3", "n4", "n7"], rows)
+    write_csv(config.output_dir / "recycling.csv", ["t", "n3", "n4", "n7"],
+              np.column_stack([series.times, *curves.values()]))
     for a, b in (("n3", "n4"), ("n3", "n7"), ("n4", "n7")):
         dev = np.abs(curves[a] - curves[b]) / np.maximum(curves[a], curves[b])
         stats[f"max_rel_dev_{a}_{b}"] = float(dev.max())
@@ -533,26 +519,21 @@ def _run_recycling_check(config):
 def _run_nuclear_bath(config):
     p = config.params
     solver = config.solver
-    axis = config.sweep.get("delta_max")
-    if axis is not None:
-        deltas = axis.grid()
-    else:
-        # {0, 0.1, 0.5} MHz converted to omega_m units
-        deltas = np.array([0.0, 0.1, 0.5]) * TWO_PI * 1e6 / p.omega_m
-    mean_rows, summary_rows, nfev = None, [], 0
+    # default {0, 0.1, 0.5} MHz converted to omega_m units
+    deltas = _default_axis(config, "delta_max",
+                           values=np.array([0.0, 0.1, 0.5]) * TWO_PI * 1e6 / p.omega_m)
+    mean_curves, summary_rows, nfev = [], [], 0
     for dm in deltas:
         result = dynamics.monte_carlo_detuning(
             p, float(dm), config.mc_samples, config.seed, solver.fock_dim,
             solver.t_final, sample_count=solver.sample_count,
             rel_tol=solver.rel_tol, abs_tol=solver.abs_tol)
-        if mean_rows is None:
-            mean_rows = [[float(t)] for t in result.times]
-        for k, v in enumerate(result.mean_n):
-            mean_rows[k].append(float(v))
+        mean_curves.append(result.mean_n)
         summary_rows.append([float(dm), result.n_ss_mean, result.cooling_time])
         nfev += result.meta["nfev_total"]
     header = ["t"] + [f"mean_n_delta_{i}" for i in range(len(deltas))]
-    write_csv(config.output_dir / "nuclear_mean_n.csv", header, mean_rows)
+    write_csv(config.output_dir / "nuclear_mean_n.csv", header,
+              np.column_stack([result.times, *mean_curves]))
     write_csv(config.output_dir / "nuclear_summary.csv",
               ["delta_max", "n_ss_mean", "cooling_time"], summary_rows)
     stats = {"samples": config.mc_samples, "nfev": nfev,
@@ -560,12 +541,25 @@ def _run_nuclear_bath(config):
     return ["nuclear_mean_n.csv", "nuclear_summary.csv"], stats, []
 
 
-_RUNNERS = {
-    "absorption": _run_absorption,
-    "rates-vs-mr": _run_rates_vs_mr,
-    "steady-map": _run_steady_map,
-    "cooling-rate-compare": _run_cooling_rate_compare,
-    "robustness": robustness_sweep,
-    "recycling-check": _run_recycling_check,
-    "nuclear-bath": _run_nuclear_bath,
+SCENARIOS = {
+    "absorption": Scenario(
+        "sideband absorption spectrum with the EIT dark dip", _run_absorption,
+        axes=("probe_detuning",), positive=("gamma_total", "rabi_omega0")),
+    "rates-vs-mr": Scenario(
+        "cooling/heating coefficients and net rate versus m_R", _run_rates_vs_mr,
+        axes=("rabi_omega0",), positive=("gamma_total",)),
+    "steady-map": Scenario("log10 steady phonon number over (Q, T)", _run_steady_map,
+                           axes=("quality_q", "temperature"), positive=("gamma_total",)),
+    "cooling-rate-compare": Scenario(
+        "fitted Lindblad cooling rate versus the closed form",
+        _run_cooling_rate_compare, axes=("rabi_omega0",),
+        sections=("solver", "fit"), positive=("gamma_total",)),
+    "robustness": Scenario(
+        "steady phonon number versus fractional Rabi error", robustness_sweep,
+        axes=("rabi_fraction",), positive=("gamma_total",)),
+    "recycling-check": Scenario("three-, four- and seven-level cooling curves",
+                                _run_recycling_check, sections=("solver", "recycling")),
+    "nuclear-bath": Scenario(
+        "ensemble-averaged cooling under random |-1> shifts", _run_nuclear_bath,
+        axes=("delta_max",), sections=("solver", "mc")),
 }

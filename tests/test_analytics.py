@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eitcool.operators as ops
 from eitcool.analytics import (RateReport, absorption_spectrum,
@@ -10,8 +12,8 @@ from eitcool.analytics import (RateReport, absorption_spectrum,
                                correlation_transform_numeric,
                                fluctuation_spectrum, rate_equation_evolve,
                                rate_in_khz, rates, rates_at_optimum,
-                               steady_phonon, steady_phonon_terms,
-                               thermal_occupation)
+                               steady_occupation, steady_phonon,
+                               steady_phonon_terms, thermal_occupation)
 from eitcool.constants import TWO_PI
 from eitcool.nvmodel import dark_state_vector, dressed_states
 from eitcool.params import ModelParams
@@ -389,3 +391,54 @@ class TestAbsorptionSpectrum:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             absorption_spectrum(FIG2A, [])
+
+
+# fixed seed and no example database, so the suite is deterministic
+GRID_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+class TestWholeGrids:
+    """A grid in one call gives what one call per point gives (bounds fixed beforehand)."""
+
+    @GRID_SETTINGS
+    @given(omega0=st.lists(st.floats(0.5, 12.0), min_size=1, max_size=6),
+           delta=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=6),
+           gamma=st.floats(0.5, 30.0), eta=st.floats(0.0, 0.3))
+    def test_rates_on_a_grid_match_per_point(self, omega0, delta, gamma, eta):
+        p = ModelParams(gamma_total=gamma, eta=eta)
+        grid = rates(p.replace(rabi_omega0=np.array(omega0)[:, None],
+                               detuning=np.array(delta)[None, :]))
+        for i, o in enumerate(omega0):
+            for j, d in enumerate(delta):
+                point = rates(p.replace(rabi_omega0=o, detuning=d))
+                for name in ("a_plus", "a_minus", "w", "n_ss"):
+                    np.testing.assert_allclose(getattr(grid, name)[i, j],
+                                               getattr(point, name), rtol=1e-15, atol=0)
+
+    @GRID_SETTINGS
+    @given(omega0=st.floats(0.5, 12.0), delta=st.floats(-40.0, 40.0),
+           gamma=st.floats(0.5, 30.0), eta=st.floats(0.0, 0.3),
+           omegas=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=30, unique=True))
+    def test_absorption_matches_correlation_transform(self, omega0, delta, gamma, eta,
+                                                       omegas):
+        p = ModelParams(rabi_omega0=omega0, detuning=delta, gamma_total=gamma, eta=eta)
+        grid = np.sort(omegas)
+        series = absorption_spectrum(p, grid)
+        per_point = np.array([(gamma / 2.0) * correlation_transform_numeric(p, w).real
+                              for w in grid])
+        assert np.abs(series.values - per_point).max() <= 1e-15 * np.abs(per_point).max()
+
+    def test_steady_occupation_on_a_grid(self):
+        w = np.array([[0.1, 0.0, -0.1]])
+        got = steady_occupation(0.01, w, 2.0, np.array([[0.0], [0.05]]))
+        want = [[0.01 / 0.1, math.inf, math.inf],
+                [(0.01 + 0.1) / 0.15, (0.01 + 0.1) / 0.05, math.inf]]
+        np.testing.assert_allclose(got, want, rtol=1e-15)
+
+    def test_thermal_occupation_on_a_grid(self):
+        temperatures = np.array([0.0, 1e-6, 0.020])
+        got = thermal_occupation(TWO_PI * 1e6, temperatures)
+        assert got.shape == (3,)
+        assert list(got) == [thermal_occupation(TWO_PI * 1e6, t) for t in temperatures]
+        with pytest.raises(ValueError, match="temperature"):
+            thermal_occupation(TWO_PI * 1e6, np.array([0.01, -0.01]))

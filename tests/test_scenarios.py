@@ -84,12 +84,32 @@ class TestConfigParsing:
             parse_config(text)
 
     def test_axis_must_be_recognized(self):
-        text = ("scenario = absorption\n"
-                "sweep.rabi_fraction.start = 0\n"
-                "sweep.rabi_fraction.stop = 1\n"
-                "sweep.rabi_fraction.points = 5\n")
-        with pytest.raises(ConfigError, match="does not recognize"):
-            parse_config(text)
+        # eta, detuning and rabi_omega0 are ModelParams fields that these
+        # scenarios do not sweep
+        for scenario, axis in (("absorption", "rabi_fraction"), ("absorption", "eta"),
+                               ("absorption", "detuning"), ("nuclear-bath", "rabi_omega0")):
+            text = (f"scenario = {scenario}\n"
+                    f"sweep.{axis}.start = 0\n"
+                    f"sweep.{axis}.stop = 1\n"
+                    f"sweep.{axis}.points = 5\n")
+            with pytest.raises(ConfigError,
+                               match=f"line 2: field 'sweep.{axis}'.*does not recognize"):
+                parse_config(text)
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_only_read_sections_are_accepted(self, scenario):
+        one_key = {"solver": "solver.fock_dim = 12", "mc": "mc.samples = 3",
+                   "fit": "fit.start_fraction = 0.2",
+                   "recycling": "recycling.sensitivity = false"}
+        reads = SCENARIOS[scenario].sections
+        for section, line in one_key.items():
+            text = f"scenario = {scenario}\n{line}\n"
+            if section in reads:
+                assert parse_config(text).scenario == scenario
+            else:
+                key = line.split(" = ")[0]
+                with pytest.raises(ConfigError, match=f"line 2: .*'{key}'"):
+                    parse_config(text)
 
     def test_unit_conversion(self):
         text = ("scenario = absorption\n"
@@ -143,7 +163,12 @@ class TestConfigParsing:
         "sweep.delta_max.start = abc", "sweep.delta_max.stop = abc",
         "sweep.delta_max.values = 0,abc", "sweep.delta_max.values = 0,nan",
         "solver.rel_tol = abc", "solver.abs_tol = abc",
-        "params.lambda_coupling = nan", "params.detuning_mhz = abc"])
+        "params.lambda_coupling = nan", "params.detuning_mhz = abc",
+        # in range for the parser, but each once crashed `eitcool run`
+        "fit.start_fraction = -0.2", "fit.start_fraction = 1.5",
+        "fit.end_fraction = 0", "fit.end_fraction = 0.5",
+        "fit.transient_over_gamma = -1",
+        "params.gamma_total = 0", "params.rabi_omega0 = 0"])
     def test_malformed_value_fails_validate_naming_key(self, line, tmp_path, capsys):
         key = line.split(" = ")[0]
         axis = {"start": "sweep.delta_max.start = 0", "stop": "sweep.delta_max.stop = 1",
@@ -151,10 +176,30 @@ class TestConfigParsing:
         if key.startswith("sweep."):
             axis = {} if key.endswith("values") else {
                 k: v for k, v in axis.items() if k != key.rsplit(".", 1)[1]}
+        # fit.* is read only by cooling-rate-compare; Gamma and Omega_0 must be
+        # positive where the closed forms divide by them
+        if key.startswith("fit."):
+            scenario = "cooling-rate-compare"
+        else:
+            scenario = {"params.gamma_total": "rates-vs-mr",
+                        "params.rabi_omega0": "absorption"}.get(key, "nuclear-bath")
+        if scenario != "nuclear-bath":
+            axis = {}
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("\n".join(["scenario = nuclear-bath", *axis.values(), line, ""]))
+        cfg.write_text("\n".join([f"scenario = {scenario}", *axis.values(), line, ""]))
         assert cli.main(["validate", str(cfg)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        "sweep.quality_q.start = -1e3", "sweep.quality_q.start = 0",
+        "sweep.temperature_mk.start = -5"])
+    def test_out_of_range_sweep_fails_validate(self, line, tmp_path, capsys):
+        axis = line.split(".")[1]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"scenario = steady-map\n{line}\nsweep.{axis}.stop = 1e3\n"
+                       f"sweep.{axis}.points = 3\n")
+        assert cli.main(["validate", str(cfg)]) == 2
+        assert f"line 2: field 'sweep.{axis}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["no", "yes", "1", "0"])
     def test_boolean_key_accepts_only_true_false(self, value):
@@ -359,8 +404,18 @@ class TestCli:
 
     def test_bad_rel_tol_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("scenario = absorption\n")
+        cfg.write_text("scenario = recycling-check\n")
         assert cli.main(["run", str(cfg), "--rel-tol", "0.5"]) == 2
+
+    @pytest.mark.parametrize("scenario", [
+        name for name, reads in SCENARIOS.items() if "solver" not in reads.sections])
+    def test_rel_tol_override_needs_a_solver_section(self, scenario, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"scenario = {scenario}\n")
+        assert cli.main(["run", str(cfg), "--rel-tol", "1e-8",
+                         "--output-dir", str(tmp_path / "out")]) == 2
+        assert "--rel-tol" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_threads_flag_is_gone(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
