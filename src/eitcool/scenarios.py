@@ -41,12 +41,14 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class Scenario:
     """One row of SCENARIOS (after the runners): the sweep axes and sections a
-    scenario reads, and the params its closed forms need > 0."""
+    scenario reads, the params its closed forms need > 0, and its runner's
+    (params, sweep) -> grid, which the parser calls to check the grid too."""
     description: str
     runner: object
     axes: tuple = ()
     sections: tuple = ()
     positive: tuple = ()
+    grid: object = None
 
 
 _PARAM_FIELDS = {f.name for f in dataclasses.fields(ModelParams)}
@@ -226,7 +228,7 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
     omega_m_mhz = pop("params.omega_m_mhz", 1.0)
     omega_m_si = TWO_PI * omega_m_mhz * 1e6
 
-    param_kwargs = {"omega_m": omega_m_si}
+    param_kwargs, param_lines = {"omega_m": omega_m_si}, {}
     for key in [k for k in entries if k.startswith("params.")]:
         lineno, value = entries.pop(key)
         name = key[len("params."):]
@@ -235,7 +237,10 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
         name, value = _convert_units(name, value, omega_m_si)
         if name not in _PARAM_FIELDS:
             raise ConfigError(f"line {lineno}: unknown parameter field {name!r}")
-        param_kwargs[name] = value
+        if name in param_lines:
+            raise ConfigError(f"lines {param_lines[name]} and {lineno}: two keys "
+                              f"set 'params.{name}'")
+        param_kwargs[name], param_lines[name] = value, lineno
     try:
         params = ModelParams(**param_kwargs)
     except (TypeError, ValueError) as err:
@@ -263,9 +268,12 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: sweep keys look like "
                               f"sweep.<axis>.<{'|'.join(sorted(axis_fields))}>")
         axis_name, field_name = parts[1], parts[2]
-        axis_lines.setdefault(axis_name, lineno)
         converted_name, _ = _convert_units(axis_name, 0.0, omega_m_si)
-        spec = sweep.setdefault(axis_name, AxisSpec(name=converted_name))
+        first_line, first_name = axis_lines.setdefault(converted_name, (lineno, axis_name))
+        if first_name != axis_name:
+            raise ConfigError(f"lines {first_line} and {lineno}: 'sweep.{first_name}' and "
+                              f"'sweep.{axis_name}' name one axis, {converted_name!r}")
+        spec = sweep.setdefault(converted_name, AxisSpec(name=converted_name))
         if field_name == "values":
             spec.values = tuple(_convert_units(axis_name, _real(key, v), omega_m_si)[1]
                                 for v in str(value).split(",") if v.strip())
@@ -279,8 +287,8 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
             _, scaled = _convert_units(axis_name, _real(key, value), omega_m_si)
             setattr(spec, field_name, scaled)
 
-    for axis_name, spec in sweep.items():
-        where = f"line {axis_lines[axis_name]}: field 'sweep.{axis_name}'"
+    for spec in sweep.values():
+        where = "line {}: field 'sweep.{}'".format(*axis_lines[spec.name])
         if spec.name not in reads.axes:
             raise ConfigError(f"{where}: scenario {scenario!r} does not recognize "
                               f"this axis; it understands {reads.axes}")
@@ -290,13 +298,16 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
             raise ConfigError(f"{where}: needs start, stop and points (or a values list)")
         if spec.values is None and spec.scale == "log" and min(spec.start, spec.stop) <= 0:
             raise ConfigError(f"{where}: log scale needs positive bounds")
-        if spec.name in _PARAM_FIELDS:
-            # the bounds of ModelParams.validate, on the whole grid at once
-            try:
-                params.replace(**{spec.name: spec.grid()})
-            except ValueError as err:
-                raise ConfigError(f"{where}: {err}") from None
-    sweep = {spec.name: spec for spec in sweep.values()}
+    if reads.grid is not None:
+        # the grid and the fields the runner derives from it, against the bounds
+        # of ModelParams.validate (1/Q at Q = 0 would warn before Q's bound fails)
+        try:
+            with np.errstate(all="ignore"):
+                reads.grid(params, sweep)
+        except (ValueError, ArithmeticError) as err:   # float ** overflows
+            where = ", ".join("line {}: field 'sweep.{}'".format(*line_name)
+                              for line_name in axis_lines.values())
+            raise ConfigError(f"{where or path_hint}: {err}") from None
 
     # `threads` has no effect (every run is serial); it is parsed only because
     # bench/configs/*.cfg still set it.  Delete this branch, and its warning in
@@ -379,22 +390,36 @@ def run(config: ScenarioConfig) -> RunManifest:
     return manifest
 
 
-def _default_axis(config, name, **kwargs):
-    return config.sweep.get(name, AxisSpec(name=name, **kwargs)).grid()
+def _default_axis(sweep, name, **kwargs):
+    return sweep.get(name, AxisSpec(name=name, **kwargs)).grid()
+
+
+def _at_optimal_detuning(params, m_r):
+    return params.replace(rabi_omega0=m_r, detuning=optimal_detuning(m_r))
+
+
+def _absorption_grid(params, sweep):
+    grid = _default_axis(sweep, "probe_detuning", start=-40.0, stop=10.0, points=2001)
+    if not np.all(np.diff(grid) > 0):
+        raise ValueError("probe detunings must be strictly increasing")
+    return grid
 
 
 def _run_absorption(config):
-    grid = _default_axis(config, "probe_detuning",
-                         start=-40.0, stop=10.0, points=2001)
+    grid = _absorption_grid(config.params, config.sweep)
     series = analytics.absorption_spectrum(config.params, grid)
     write_spectrum_csv(series, config.output_dir / "absorption.csv")
     return ["absorption.csv"], {"points": len(grid)}, []
 
 
+def _rates_vs_mr_grid(params, sweep):
+    m_r = _default_axis(sweep, "rabi_omega0", start=2.0, stop=12.0, points=101)
+    return m_r, _at_optimal_detuning(params, m_r)
+
+
 def _run_rates_vs_mr(config):
-    grid = _default_axis(config, "rabi_omega0", start=2.0, stop=12.0, points=101)
-    report = analytics.rates(config.params.replace(
-        rabi_omega0=grid, detuning=optimal_detuning(grid)))
+    grid, params = _rates_vs_mr_grid(config.params, config.sweep)
+    report = analytics.rates(params)
     write_csv(config.output_dir / "rates_vs_mr.csv", ["m_r", "a_plus", "a_minus", "w"],
               np.column_stack([grid, report.a_plus, report.a_minus, report.w]))
     write_csv(config.output_dir / "nss_vs_mr.csv", ["m_r", "n_ss"],
@@ -402,28 +427,36 @@ def _run_rates_vs_mr(config):
     return ["rates_vs_mr.csv", "nss_vs_mr.csv"], {"points": len(grid)}, []
 
 
-def _run_steady_map(config):
-    q_grid = _default_axis(config, "quality_q", start=1e3, stop=1e7,
-                           points=41, scale="log")
-    t_grid = _default_axis(config, "temperature", start=1e-3, stop=0.1, points=34)
+def _steady_map_grid(params, sweep):
+    q_grid = _default_axis(sweep, "quality_q", start=1e3, stop=1e7, points=41, scale="log")
+    t_grid = _default_axis(sweep, "temperature", start=1e-3, stop=0.1, points=34)
     q, t_k = np.meshgrid(q_grid, t_grid, indexing="ij")   # rows: Q outer, T inner
-    n_ss = analytics.rates(config.params.replace(
-        quality_q=q, gamma_mech=1.0 / q, temperature=t_k, bath="thermal")).n_ss
-    rows = np.column_stack([q.ravel(), t_k.ravel() * 1e3, n_ss.ravel(),
-                            np.log10(n_ss.ravel())])
+    return params.replace(quality_q=q, gamma_mech=1.0 / q, temperature=t_k, bath="thermal")
+
+
+def _run_steady_map(config):
+    params = _steady_map_grid(config.params, config.sweep)
+    n_ss = analytics.rates(params).n_ss.ravel()
+    rows = np.column_stack([params.quality_q.ravel(), params.temperature.ravel() * 1e3,
+                            n_ss, np.log10(n_ss)])
     write_csv(config.output_dir / "steady_map.csv",
               ["quality_q", "temperature_mk", "n_ss", "log10_n_ss"], rows)
     return ["steady_map.csv"], {"points": len(rows)}, []
 
 
+def _cooling_rate_grid(params, sweep):
+    m_r = _default_axis(sweep, "rabi_omega0", start=4.0, stop=10.0, points=4)
+    return m_r, _at_optimal_detuning(params, m_r)
+
+
 def _run_cooling_rate_compare(config):
-    grid = _default_axis(config, "rabi_omega0", start=4.0, stop=10.0, points=4)
+    grid, _ = _cooling_rate_grid(config.params, config.sweep)
     p = config.params
     solver = config.solver
     lam = p.lambda_coupling
     rows, nfev = [], 0
     for m_r in grid:
-        pp = p.replace(rabi_omega0=float(m_r), detuning=optimal_detuning(m_r))
+        pp = _at_optimal_detuning(p, float(m_r))
         model = build_three_level_model(pp, solver.fock_dim)
         fock_pops = np.eye(solver.fock_dim)[min(3, solver.fock_dim - 4)]
         rho0 = ops.product_state(model.space, dark_state_vector(model.space), fock_pops)
@@ -446,14 +479,18 @@ def _run_cooling_rate_compare(config):
     return ["cooling_rate.csv"], {"points": len(grid), "nfev": nfev}, []
 
 
+def _robustness_grid(params, sweep):
+    fraction = _default_axis(sweep, "rabi_fraction", start=-0.3, stop=0.3, points=301)
+    m_r = params.rabi_omega0
+    return fraction, params.replace(rabi_omega0=m_r * (1.0 + fraction),
+                                    detuning=optimal_detuning(m_r), bath="thermal")
+
+
 def robustness_sweep(config):
     """Steady phonon number versus fractional Rabi error (three gamma_m curves)."""
-    grid = _default_axis(config, "rabi_fraction", start=-0.3, stop=0.3, points=301)
-    p = config.params
-    m_r = p.rabi_omega0
-    report = analytics.rates(p.replace(rabi_omega0=m_r * (1.0 + grid),
-                                       detuning=optimal_detuning(m_r), bath="thermal"))
-    gamma_m_list = [0.0, TWO_PI * 10.0 / p.omega_m, TWO_PI * 100.0 / p.omega_m]
+    grid, params = _robustness_grid(config.params, config.sweep)
+    report = analytics.rates(params)
+    gamma_m_list = [0.0, TWO_PI * 10.0 / params.omega_m, TWO_PI * 100.0 / params.omega_m]
     columns = [analytics.steady_occupation(report.a_plus, report.w, report.thermal_n, gm)
                for gm in gamma_m_list]
     write_csv(config.output_dir / "robustness.csv",
@@ -520,7 +557,7 @@ def _run_nuclear_bath(config):
     p = config.params
     solver = config.solver
     # default {0, 0.1, 0.5} MHz converted to omega_m units
-    deltas = _default_axis(config, "delta_max",
+    deltas = _default_axis(config.sweep, "delta_max",
                            values=np.array([0.0, 0.1, 0.5]) * TWO_PI * 1e6 / p.omega_m)
     mean_curves, summary_rows, nfev = [], [], 0
     for dm in deltas:
@@ -544,19 +581,21 @@ def _run_nuclear_bath(config):
 SCENARIOS = {
     "absorption": Scenario(
         "sideband absorption spectrum with the EIT dark dip", _run_absorption,
-        axes=("probe_detuning",), positive=("gamma_total", "rabi_omega0")),
+        axes=("probe_detuning",), positive=("gamma_total", "rabi_omega0"),
+        grid=_absorption_grid),
     "rates-vs-mr": Scenario(
         "cooling/heating coefficients and net rate versus m_R", _run_rates_vs_mr,
-        axes=("rabi_omega0",), positive=("gamma_total",)),
+        axes=("rabi_omega0",), positive=("gamma_total",), grid=_rates_vs_mr_grid),
     "steady-map": Scenario("log10 steady phonon number over (Q, T)", _run_steady_map,
-                           axes=("quality_q", "temperature"), positive=("gamma_total",)),
+                           axes=("quality_q", "temperature"), positive=("gamma_total",),
+                           grid=_steady_map_grid),
     "cooling-rate-compare": Scenario(
         "fitted Lindblad cooling rate versus the closed form",
         _run_cooling_rate_compare, axes=("rabi_omega0",),
-        sections=("solver", "fit"), positive=("gamma_total",)),
+        sections=("solver", "fit"), positive=("gamma_total",), grid=_cooling_rate_grid),
     "robustness": Scenario(
         "steady phonon number versus fractional Rabi error", robustness_sweep,
-        axes=("rabi_fraction",), positive=("gamma_total",)),
+        axes=("rabi_fraction",), positive=("gamma_total",), grid=_robustness_grid),
     "recycling-check": Scenario("three-, four- and seven-level cooling curves",
                                 _run_recycling_check, sections=("solver", "recycling")),
     "nuclear-bath": Scenario(

@@ -201,6 +201,49 @@ class TestConfigParsing:
         assert cli.main(["validate", str(cfg)]) == 2
         assert f"line 2: field 'sweep.{axis}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines", [
+        "sweep.probe_detuning.values = 5,3",
+        "sweep.probe_detuning.start = 10\nsweep.probe_detuning.stop = -40\n"
+        "sweep.probe_detuning.points = 11"])
+    def test_absorption_sweep_must_increase(self, lines, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"scenario = absorption\n{lines}\n")
+        assert cli.main(["validate", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "line 2: field 'sweep.probe_detuning'" in err and "increasing" in err
+
+    @pytest.mark.parametrize("lines, names", [
+        ("sweep.temperature.values = 0.001,0.002\nsweep.temperature_mk.values = 5,6,7",
+         "'sweep.temperature' and 'sweep.temperature_mk'"),
+        ("sweep.temperature_mk.start = 1\nsweep.temperature_mk.stop = 5\n"
+         "sweep.temperature.values = 0.001,0.002", "'sweep.temperature_mk' and "
+         "'sweep.temperature'"),
+        ("params.temperature = 0.02\nparams.temperature_mk = 5", "params.temperature")])
+    def test_one_field_named_twice(self, lines, names):
+        # the second key would silently replace the first after unit conversion
+        first, second = 2, 2 + lines.count("\n")
+        with pytest.raises(ConfigError, match=f"lines {first} and {second}: .*{names}"):
+            parse_config(f"scenario = steady-map\n{lines}\n")
+
+    @pytest.mark.parametrize("scenario, line, says", [
+        # detuning = optimal_detuning(m_R) overflows
+        ("rates-vs-mr", "sweep.rabi_omega0.values = 1,1e200", "detuning"),
+        ("cooling-rate-compare", "sweep.rabi_omega0.values = 1,1e200", "detuning"),
+        # gamma_mech = 1/Q overflows
+        ("steady-map", "sweep.quality_q.values = 1e-320,1", "gamma_mech"),
+        # Omega_0 (1 + fraction) overflows
+        ("robustness", "sweep.rabi_fraction.values = 0,1e308", "rabi_omega0"),
+        # (the fixed Omega_0)^2 overflows as a Python float; no sweep key to name
+        ("robustness", "params.rabi_omega0 = 1e200", "bad.cfg")])
+    def test_derived_fields_are_checked(self, scenario, line, says, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"scenario = {scenario}\n{line}\n")
+        assert cli.main(["validate", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        if line.startswith("sweep."):
+            assert f"line 2: field '{line.rsplit('.', 1)[0]}'" in err
+        assert says in err
+
     @pytest.mark.parametrize("value", ["no", "yes", "1", "0"])
     def test_boolean_key_accepts_only_true_false(self, value):
         text = f"scenario = recycling-check\nrecycling.sensitivity = {value}\n"
@@ -239,6 +282,22 @@ class TestShippedConfigs:
         ids=lambda path: str(path.relative_to(REPO)))
     def test_loads(self, path):
         assert load_config(path).scenario in SCENARIOS
+
+    def test_closed_form_hashes(self, tmp_path):
+        # the full sha256 of every closed-form CSV, pinned
+        want = {
+            "absorption.csv": "459a9e8821f6966c5c44b9ecb13c7ae19c1a09a5337579c7cbf62a34a6e317d9",
+            "rates_vs_mr.csv": "9538e6bcac5f2b4eb142a9212632be39e38db3e11fed0b38e5033fee0e612c0c",
+            "nss_vs_mr.csv": "7d7ee6a762aea8b2867d7b89cd293d0c05300ba9a5de58f4b1a89781f5020206",
+            "steady_map.csv": "16e8e6bd23c13fe26e82505bf8c6a27f325cad3af8d46deafa280d9943e8d949",
+            "robustness.csv": "55d9522b153233463adc08e30e1c0ca55f3d4b69f052170f0b76dfa1cbfa1cad",
+        }
+        got = {}
+        for name in ("absorption", "rates_vs_mr", "steady_map", "robustness"):
+            config = load_config(CONFIG_DIR / f"{name}.cfg")
+            config.output_dir = tmp_path / name
+            got.update(run(config).outputs)
+        assert got == want
 
     def test_recycling_config_warns_about_strong_pump(self):
         _, warnings = validate_config(CONFIG_DIR / "recycling_check.cfg")
