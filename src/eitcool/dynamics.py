@@ -73,13 +73,34 @@ def _top_level_population(diag, space):
     return float(diag.reshape(space.n_internal, space.fock_dim)[:, -2:].sum())
 
 
+def reachable_coordinates(L, x0) -> np.ndarray:
+    """Sorted indices of the coordinates reachable from the nonzeros of x0 along
+    the sparsity graph of L, where an edge runs from j to i wherever L[i, j] != 0.
+
+    L has no entry from this set to outside it, so under dx/dt = L x every other
+    coordinate of x0 stays exactly 0.0.
+    """
+    # read only L's index arrays: scipy's abs() and some products sort an unsorted
+    # CSR in place, which would move the rounding of every later L @ v
+    rows = np.repeat(np.arange(L.shape[0]), np.diff(L.indptr))
+    reach = np.asarray(x0) != 0
+    while True:
+        grown = reach.copy()
+        grown[rows[reach[L.indices]]] = True
+        if np.array_equal(grown, reach):
+            return np.flatnonzero(reach)
+        reach = grown
+
+
 def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
            rel_tol=1e-8, abs_tol=1e-10, checkpoint_every=None) -> TimeSeries:
     """Adaptive Runge-Kutta integration of the master equation.
 
     The state is carried as the real coordinates x = T vec(rho) of
     `operators.hermitian_coordinates` and stepped with the real generator of
-    `operators.real_liouvillian`, so it stays Hermitian by construction.
+    `operators.real_liouvillian`, so it stays Hermitian by construction.  Only
+    the coordinates that rho0 reaches (`reachable_coordinates`) are stepped:
+    the others stay exactly 0.0, so this is the same ODE, not a truncation.
     Samples on a uniform grid and monitors the trace (the sum of the diagonal
     coordinates) and the top-of-ladder population.  Exceeding the leakage
     threshold or losing the trace is an error, not a warning.
@@ -87,6 +108,7 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
     meta["hermiticity_max"] is the largest imaginary entry dropped from the
     generator in those coordinates: zero up to rounding when the generator maps
     Hermitian matrices to Hermitian ones, which the real stepping relies on.
+    meta["coordinates"] and meta["generator_nnz"] size the stepped generator.
     meta["steps"] and meta["min_step"] count the accepted RK45 steps over all
     sample intervals and give the smallest of them.
     """
@@ -110,6 +132,13 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
     # Tr(op rho) = vec(op^T) . vec(rho) = vec(op^T) T^dag x: one real row per observable
     obs_rows = np.array([(T_dag.T @ op.matrix.T.ravel()).real
                          for op in model.observables.values()]).reshape(-1, d * d)
+    y = (T @ rho0.matrix.ravel()).real
+    kept = reachable_coordinates(L, y)
+    if kept.size < d * d:
+        L, y, obs_rows = L[kept][:, kept], y[kept], obs_rows[:, kept]
+    # kept is sorted and the diagonal coordinates come first
+    n_diag = int(np.searchsorted(kept, d))
+    diag = np.zeros(d)
     records = {name: np.empty(len(times)) for name in model.observables}
     records["trace"] = np.empty(len(times))
     leakage = np.empty(len(times))
@@ -117,7 +146,6 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
     nfev = steps = 0
     min_step = math.inf
 
-    y = (T @ rho0.matrix.ravel()).real
     for k, t in enumerate(times):
         if k > 0:
             # stepping RK45 directly keeps only the current state, not every step's
@@ -133,11 +161,12 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
                     f"integrator failed near t = {t:g}: {message}; "
                     "consider rescaling rel_tol/abs_tol")
             y = solver.y
-        tr = float(y[:d].sum())
+        tr = float(y[:n_diag].sum())
         if abs(tr - 1.0) > TRACE_LIMIT:
             raise SolverError(
                 f"trace drifted to {tr} at t = {t:g}; rescale tolerances")
-        leak = _top_level_population(y[:d], model.space)
+        diag[kept[:n_diag]] = y[:n_diag]
+        leak = _top_level_population(diag, model.space)
         if leak > LEAKAGE_LIMIT:
             raise LeakageError(
                 f"top-of-ladder population {leak:.3e} at t = {t:g} exceeds "
@@ -147,13 +176,15 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
         for name, value in zip(model.observables, obs_rows @ y):
             records[name][k] = value
         if checkpoint_every and k % checkpoint_every == 0:
-            rho = (T_dag @ y).reshape(d, d)
+            x = np.zeros(d * d)
+            x[kept] = y
+            rho = (T_dag @ x).reshape(d, d)
             min_eig = min(min_eig, float(np.linalg.eigvalsh(rho)[0]))
 
     meta = {"rel_tol": rel_tol, "abs_tol": abs_tol, "nfev": nfev, "steps": steps,
             "min_step": min_step, "hermiticity_max": dropped, "solver": "RK45",
-            "fock_dim": model.space.fock_dim, "generator_nnz": int(L.nnz),
-            "generator_build_s": build_s}
+            "fock_dim": model.space.fock_dim, "coordinates": int(kept.size),
+            "generator_nnz": int(L.nnz), "generator_build_s": build_s}
     if checkpoint_every:
         meta["min_eigenvalue"] = min_eig
     return TimeSeries(times=times, records=records, leakage=leakage, meta=meta)

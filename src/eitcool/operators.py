@@ -302,7 +302,9 @@ def real_liouvillian(model: LindbladModel):
     T = hermitian_coordinates(model.space.dim)
     full = (T @ liouvillian(model) @ T.conj().T).tocsr()
     dropped = float(np.abs(full.data.imag).max(initial=0.0))
-    real = sparse.csr_array((full.data.real, full.indices, full.indptr), shape=full.shape)
+    # a contiguous copy: scipy would copy the strided .real view on every mat-vec
+    real = sparse.csr_array((np.ascontiguousarray(full.data.real), full.indices,
+                             full.indptr), shape=full.shape)
     real.eliminate_zeros()
     return real, dropped
 

@@ -49,6 +49,7 @@ class Scenario:
     sections: tuple = ()
     positive: tuple = ()
     grid: object = None
+    grid_params: tuple = ()          # the params fields the grid derives others from
 
 
 _PARAM_FIELDS = {f.name for f in dataclasses.fields(ModelParams)}
@@ -190,6 +191,12 @@ def _boolean(key, value):
     return value
 
 
+def _two_keys(*named):
+    """"lines a and b: 'key_a' and 'key_b'" for two (line, key) pairs, in line order."""
+    (line_a, key_a), (line_b, key_b) = sorted(named)
+    return f"lines {line_a} and {line_b}: '{key_a}' and '{key_b}'"
+
+
 def _convert_units(key, value, omega_m_si):
     """Strip a unit suffix and rescale the value into internal units."""
     if key.endswith("_mhz"):
@@ -225,10 +232,16 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: scenario {scenario!r} reads no "
                               f"{section}.* keys, got {key!r}")
 
-    omega_m_mhz = pop("params.omega_m_mhz", 1.0)
+    # the SI anchor of every unit conversion, and so the omega_m field itself
+    anchor_line, omega_m_mhz = entries.pop("params.omega_m_mhz", (None, 1.0))
+    omega_m_mhz = _real("params.omega_m_mhz", omega_m_mhz)
+    if not omega_m_mhz > 0:
+        raise ConfigError(f"field 'params.omega_m_mhz': must be > 0, got {omega_m_mhz}")
     omega_m_si = TWO_PI * omega_m_mhz * 1e6
 
     param_kwargs, param_lines = {"omega_m": omega_m_si}, {}
+    if anchor_line is not None:
+        param_lines["omega_m"] = (anchor_line, "params.omega_m_mhz")
     for key in [k for k in entries if k.startswith("params.")]:
         lineno, value = entries.pop(key)
         name = key[len("params."):]
@@ -238,9 +251,9 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
         if name not in _PARAM_FIELDS:
             raise ConfigError(f"line {lineno}: unknown parameter field {name!r}")
         if name in param_lines:
-            raise ConfigError(f"lines {param_lines[name]} and {lineno}: two keys "
-                              f"set 'params.{name}'")
-        param_kwargs[name], param_lines[name] = value, lineno
+            raise ConfigError(f"{_two_keys(param_lines[name], (lineno, key))} "
+                              f"both set 'params.{name}'")
+        param_kwargs[name], param_lines[name] = value, (lineno, key)
     try:
         params = ModelParams(**param_kwargs)
     except (TypeError, ValueError) as err:
@@ -259,7 +272,7 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
         solver_kwargs[name] = value
     solver = SolverSpec(**solver_kwargs)
 
-    sweep, axis_lines = {}, {}
+    sweep, axis_lines, field_lines = {}, {}, {}
     axis_fields = {"start", "stop", "points", "scale", "values"}
     for key in [k for k in entries if k.startswith("sweep.")]:
         lineno, value = entries.pop(key)
@@ -271,9 +284,11 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
         converted_name, _ = _convert_units(axis_name, 0.0, omega_m_si)
         first_line, first_name = axis_lines.setdefault(converted_name, (lineno, axis_name))
         if first_name != axis_name:
-            raise ConfigError(f"lines {first_line} and {lineno}: 'sweep.{first_name}' and "
-                              f"'sweep.{axis_name}' name one axis, {converted_name!r}")
+            raise ConfigError(_two_keys((first_line, f"sweep.{first_name}"),
+                                        (lineno, f"sweep.{axis_name}"))
+                              + f" name one axis, {converted_name!r}")
         spec = sweep.setdefault(converted_name, AxisSpec(name=converted_name))
+        field_lines.setdefault(converted_name, {})[field_name] = lineno
         if field_name == "values":
             spec.values = tuple(_convert_units(axis_name, _real(key, v), omega_m_si)[1]
                                 for v in str(value).split(",") if v.strip())
@@ -294,6 +309,15 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
                               f"this axis; it understands {reads.axes}")
         if spec.values is not None and len(spec.values) < 2:
             raise ConfigError(f"{where}: needs >= 2 values")
+        lines = field_lines[spec.name]
+        ignored = [f for f in ("start", "stop", "points", "scale") if f in lines]
+        if spec.values is not None and ignored:
+            # a values list is the whole grid; AxisSpec.grid would drop the rest
+            axis = axis_lines[spec.name][1]
+            raise ConfigError(
+                _two_keys(*((lines[f], f"sweep.{axis}.{f}") for f in ("values", ignored[0])))
+                + " on one axis: a values list is the whole grid and takes no start, "
+                "stop, points or scale")
         if spec.values is None and None in (spec.start, spec.stop, spec.points):
             raise ConfigError(f"{where}: needs start, stop and points (or a values list)")
         if spec.values is None and spec.scale == "log" and min(spec.start, spec.stop) <= 0:
@@ -305,8 +329,9 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
             with np.errstate(all="ignore"):
                 reads.grid(params, sweep)
         except (ValueError, ArithmeticError) as err:   # float ** overflows
-            where = ", ".join("line {}: field 'sweep.{}'".format(*line_name)
-                              for line_name in axis_lines.values())
+            named = [(line, f"sweep.{axis}") for line, axis in axis_lines.values()]
+            named += [param_lines[name] for name in reads.grid_params if name in param_lines]
+            where = ", ".join(f"line {line}: field '{key}'" for line, key in sorted(named))
             raise ConfigError(f"{where or path_hint}: {err}") from None
 
     # `threads` has no effect (every run is serial); it is parsed only because
@@ -516,6 +541,7 @@ def _run_recycling_check(config):
         series = cooling_curve(builder(p, solver.fock_dim))
         curves[name] = series.column("n")
         stats[f"nfev_{name}"] = series.meta["nfev"]
+        stats[f"coordinates_{name}"] = series.meta["coordinates"]
     write_csv(config.output_dir / "recycling.csv", ["t", "n3", "n4", "n7"],
               np.column_stack([series.times, *curves.values()]))
     for a, b in (("n3", "n4"), ("n3", "n7"), ("n4", "n7")):
@@ -595,7 +621,8 @@ SCENARIOS = {
         sections=("solver", "fit"), positive=("gamma_total",), grid=_cooling_rate_grid),
     "robustness": Scenario(
         "steady phonon number versus fractional Rabi error", robustness_sweep,
-        axes=("rabi_fraction",), positive=("gamma_total",), grid=_robustness_grid),
+        axes=("rabi_fraction",), positive=("gamma_total",), grid=_robustness_grid,
+        grid_params=("rabi_omega0",)),
     "recycling-check": Scenario("three-, four- and seven-level cooling curves",
                                 _run_recycling_check, sections=("solver", "recycling")),
     "nuclear-bath": Scenario(

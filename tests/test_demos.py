@@ -1,4 +1,4 @@
-"""Smoke runs of the closed-form demos, each in a fresh interpreter."""
+"""Smoke runs of the demos, each in a fresh interpreter."""
 
 import os
 import subprocess
@@ -28,3 +28,10 @@ def test_absorption_demo_writes_its_csv(tmp_path):
     lines = (tmp_path / "absorption_demo.csv").read_text().splitlines()
     assert lines[0] == "omega,absorption" and len(lines) == 2002
     assert lines[1].startswith("-40,")
+
+
+def test_recycling_models_demo(tmp_path):
+    # the four- and seven-level models through evolve, end to end
+    out = run_demo("04_recycling_models.py", tmp_path)
+    for pair in ("3-level vs 7-level", "3-level vs 4-level"):
+        assert f"max pointwise relative deviation {pair}: " in out

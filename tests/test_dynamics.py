@@ -9,11 +9,13 @@ from eitcool.analytics import (analytic_trajectory, bloch_steady_state, rates,
                                thermal_occupation)
 from eitcool.dynamics import (LeakageError, SolverError, TimeSeries, evolve,
                               extract_cooling_rate, monte_carlo_detuning,
-                              steady_state)
-from eitcool.nvmodel import build_four_level_model, build_three_level_model
+                              reachable_coordinates, steady_state)
+from eitcool.nvmodel import (build_four_level_model, build_seven_level_model,
+                             build_three_level_model)
 from eitcool.params import ModelParams
 from eitcool.scenarios import load_config
-from test_operators import sandwich_rhs
+from test_operators import (LEVELS3, LEVELS6, random_model, sandwich_rhs,
+                            thermal_random_model)
 
 FIG2A = ModelParams()
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -24,6 +26,77 @@ def damping_model(gamma=0.8, fock=6):
     return ops.LindbladModel(space, ops.identity(space) * 0.0,
                              [(gamma, ops.annihilation(space))],
                              {"n": ops.number_operator(space)})
+
+
+RECYCLING = load_config(CONFIGS / "recycling_check.cfg").params
+
+
+def initial_coordinates(rho0):
+    return (ops.hermitian_coordinates(rho0.space.dim) @ rho0.matrix.ravel()).real
+
+
+def evolve_against_complex_reference(model, rho0):
+    """evolve at rel_tol 1e-8 against the complex d x d master equation
+    integrated 1e3 times tighter; evolve's global error stays well below 1e-6."""
+    from scipy.integrate import solve_ivp
+    d = model.space.dim
+    series = evolve(model, rho0, 5.0, 11, rel_tol=1e-8, abs_tol=1e-11)
+    ref = solve_ivp(lambda _, y: sandwich_rhs(model, y.reshape(d, d)).ravel(),
+                    (0.0, 5.0), rho0.matrix.ravel(), t_eval=series.times,
+                    rtol=1e-11, atol=1e-14)
+    n_op = model.observables["n"].matrix
+    want = [np.trace(n_op @ y.reshape(d, d)).real for y in ref.y.T]
+    assert np.abs(series.column("n") - want).max() < 1e-6
+    space = model.space
+    top = [np.diagonal(y.reshape(d, d)).real.reshape(space.n_internal, space.fock_dim)
+           [:, -2:].sum() for y in ref.y.T]
+    assert np.abs(series.leakage - top).max() < 1e-6
+    return series
+
+
+class TestReachableCoordinates:
+    @staticmethod
+    def check_closed(L, x0):
+        """No entry of L leads out of the reachable set, which holds the start
+        and equals a breadth-first search of L's graph from the start."""
+        from scipy.sparse.csgraph import breadth_first_order
+        kept = reachable_coordinates(L, x0)
+        outside = np.setdiff1d(np.arange(L.shape[0]), kept)
+        assert L[outside][:, kept].nnz == 0
+        assert np.isin(np.flatnonzero(x0), kept).all()
+        graph = L.T.tocsr()          # row j of L^T lists the i with L[i, j] != 0
+        want = np.unique(np.concatenate([
+            breadth_first_order(graph, j, return_predecessors=False)
+            for j in np.flatnonzero(x0)]))
+        assert np.array_equal(kept, want)
+        return kept
+
+    @pytest.mark.filterwarnings("ignore:pump Rabi frequency")
+    @pytest.mark.parametrize("builder", [build_three_level_model, build_four_level_model,
+                                         build_seven_level_model])
+    def test_closed_under_the_builders(self, builder):
+        model = builder(RECYCLING, 6)
+        L = ops.real_liouvillian(model)[0]
+        for n in range(6):
+            kept = self.check_closed(L, initial_coordinates(ops.basis_state(model.space, "-1", n)))
+            if builder is build_three_level_model:
+                assert kept.size == model.space.dim ** 2
+
+    def test_closed_under_random_models(self):
+        rng = np.random.default_rng(12)
+        for make, labels, fock in ((random_model, LEVELS3, 4), (thermal_random_model, LEVELS6, 2),
+                                   (thermal_random_model, ("g",), 9)):
+            for _ in range(5):
+                model = make(rng, labels, fock)
+                L = ops.real_liouvillian(model)[0]
+                label = model.space.internal_labels[-1]
+                self.check_closed(L, initial_coordinates(ops.basis_state(model.space, label, 1)))
+
+    def test_pure_damping_keeps_the_ladder_diagonal(self):
+        model = damping_model(fock=6)
+        L = ops.real_liouvillian(model)[0]
+        kept = self.check_closed(L, initial_coordinates(ops.basis_state(model.space, "g", 4)))
+        assert kept.tolist() == [0, 1, 2, 3, 4]
 
 
 class TestEvolve:
@@ -91,27 +164,45 @@ class TestEvolve:
 
     def test_meta_reports_generator(self):
         model = damping_model(fock=6)
-        series = evolve(model, ops.basis_state(model.space, "g", 1), 1.0, 3)
-        assert series.meta["generator_nnz"] == ops.real_liouvillian(model)[0].nnz
+        rho0 = ops.basis_state(model.space, "g", 1)
+        series = evolve(model, rho0, 1.0, 3)
+        # the generator evolve steps: the full one restricted to what rho0 reaches
+        L = ops.real_liouvillian(model)[0]
+        kept = reachable_coordinates(L, initial_coordinates(rho0))
+        assert series.meta["coordinates"] == kept.size == 2
+        assert series.meta["generator_nnz"] == L[kept][:, kept].nnz
         assert series.meta["generator_build_s"] > 0.0
         assert series.meta["nfev"] > 0
         assert 0 < series.meta["steps"] <= series.meta["nfev"]
         assert series.meta["min_step"] > 0.0
 
     def test_matches_complex_reference_integration(self):
-        # the complex d x d master equation, integrated 1e3 times tighter than
-        # evolve; evolve's global error at rel_tol 1e-8 stays well below 1e-6
-        from scipy.integrate import solve_ivp
         model = build_three_level_model(FIG2A, 8)
-        d = model.space.dim
-        rho0 = ops.basis_state(model.space, "-1", 1)
-        series = evolve(model, rho0, 5.0, 11, rel_tol=1e-8, abs_tol=1e-11)
-        ref = solve_ivp(lambda _, y: sandwich_rhs(model, y.reshape(d, d)).ravel(),
-                        (0.0, 5.0), rho0.matrix.ravel(), t_eval=series.times,
-                        rtol=1e-11, atol=1e-14)
-        n_op = model.observables["n"].matrix
-        want = [np.trace(n_op @ y.reshape(d, d)).real for y in ref.y.T]
-        assert np.abs(series.column("n") - want).max() < 1e-6
+        series = evolve_against_complex_reference(model, ops.basis_state(model.space, "-1", 1))
+        # every coordinate is coherently coupled in the Lambda system
+        assert series.meta["coordinates"] == model.space.dim ** 2
+        assert series.meta["generator_nnz"] == ops.real_liouvillian(model)[0].nnz
+
+    @pytest.mark.filterwarnings("ignore:pump Rabi frequency")
+    @pytest.mark.parametrize("builder, kept", [
+        (build_four_level_model, 24 ** 2 + 8 ** 2),
+        (build_seven_level_model, 24 ** 2 + 16 ** 2 + 8 ** 2 - 8)])
+    def test_recycling_models_match_complex_reference(self, builder, kept):
+        # |0>, |E_y> and |1A1> reach the Lambda block only through jumps, so from
+        # |-1, 1> no coherence between the blocks ever arises.  Each block is
+        # reached in full, except Re <0, n|rho|E_y, n>: the resonant real pump
+        # drive feeds only the imaginary part of those coherences
+        model = builder(RECYCLING, 8)
+        series = evolve_against_complex_reference(model, ops.basis_state(model.space, "-1", 1))
+        assert series.meta["coordinates"] == kept < model.space.dim ** 2
+
+    @pytest.mark.filterwarnings("ignore:pump Rabi frequency")
+    def test_block_coherence_reaches_more_coordinates(self):
+        model = build_four_level_model(RECYCLING, 8)
+        amplitudes = [0.0, 0.8, 0.0, 0.6]          # on ("+1", "-1", "A2", "0")
+        rho0 = ops.product_state(model.space, amplitudes, np.eye(8)[1])
+        series = evolve_against_complex_reference(model, rho0)
+        assert 640 < series.meta["coordinates"] <= model.space.dim ** 2
 
     def test_records_include_trace(self):
         with pytest.raises(ValueError, match="trace"):

@@ -228,6 +228,11 @@ class TestGenerator:
                 # the diagonal-coordinate rows carry d(Tr rho)/dt = 0
                 assert np.abs(got[:d].sum(axis=0)).max() < 1e-12
 
+    def test_real_generator_data_is_contiguous(self):
+        # a strided view of the complex data would be copied on every mat-vec
+        model = thermal_random_model(np.random.default_rng(14))
+        assert real_liouvillian(model)[0].data.flags.c_contiguous
+
     def test_dense_view_refuses_superoperator_beyond_memory(self, monkeypatch):
         # d = 400: the dense superoperator would need 16 * 400^4 bytes (about 410 GB);
         # sysconf reports 64 GB, so the outcome does not depend on the host's memory

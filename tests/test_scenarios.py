@@ -218,7 +218,20 @@ class TestConfigParsing:
         ("sweep.temperature_mk.start = 1\nsweep.temperature_mk.stop = 5\n"
          "sweep.temperature.values = 0.001,0.002", "'sweep.temperature_mk' and "
          "'sweep.temperature'"),
-        ("params.temperature = 0.02\nparams.temperature_mk = 5", "params.temperature")])
+        ("params.temperature = 0.02\nparams.temperature_mk = 5", "params.temperature"),
+        # the unit conversions would read omega_m_mhz, the model omega_m
+        ("params.omega_m_mhz = 10\nparams.omega_m = 6.283185307179586e6",
+         "'params.omega_m_mhz' and 'params.omega_m'"),
+        ("params.omega_m = 6.283185307179586e6\nparams.omega_m_mhz = 10",
+         "'params.omega_m' and 'params.omega_m_mhz'"),
+        # AxisSpec.grid would use the values and drop the bounds
+        ("sweep.temperature_mk.start = 1\nsweep.temperature_mk.stop = 9\n"
+         "sweep.temperature_mk.points = 9\nsweep.temperature_mk.values = 5,6",
+         "'sweep.temperature_mk.start' and 'sweep.temperature_mk.values'"),
+        ("sweep.quality_q.points = 3\nsweep.quality_q.values = 1e3,1e4",
+         "'sweep.quality_q.points' and 'sweep.quality_q.values'"),
+        ("sweep.quality_q.scale = log\nsweep.quality_q.values = 1e3,1e4",
+         "'sweep.quality_q.scale' and 'sweep.quality_q.values'")])
     def test_one_field_named_twice(self, lines, names):
         # the second key would silently replace the first after unit conversion
         first, second = 2, 2 + lines.count("\n")
@@ -233,16 +246,25 @@ class TestConfigParsing:
         ("steady-map", "sweep.quality_q.values = 1e-320,1", "gamma_mech"),
         # Omega_0 (1 + fraction) overflows
         ("robustness", "sweep.rabi_fraction.values = 0,1e308", "rabi_omega0"),
-        # (the fixed Omega_0)^2 overflows as a Python float; no sweep key to name
-        ("robustness", "params.rabi_omega0 = 1e200", "bad.cfg")])
+        # (the fixed Omega_0)^2 overflows as a Python float; the grid centres on it
+        ("robustness", "params.rabi_omega0 = 1e200", "out of range")])
     def test_derived_fields_are_checked(self, scenario, line, says, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"scenario = {scenario}\n{line}\n")
         assert cli.main(["validate", str(cfg)]) == 2
         err = capsys.readouterr().err
-        if line.startswith("sweep."):
-            assert f"line 2: field '{line.rsplit('.', 1)[0]}'" in err
+        key = line.split(" = ")[0]
+        field = key.rsplit(".", 1)[0] if key.startswith("sweep.") else key
+        assert f"line 2: field '{field}'" in err
         assert says in err
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "0", "-1"])
+    def test_omega_m_anchor_is_checked(self, value, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"scenario = rates-vs-mr\nparams.omega_m_mhz = {value}\n"
+                       "params.gamma_total_mhz = 15\n")
+        assert cli.main(["validate", str(cfg)]) == 2
+        assert "params.omega_m_mhz" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["no", "yes", "1", "0"])
     def test_boolean_key_accepts_only_true_false(self, value):
@@ -402,6 +424,10 @@ class TestRunners:
         assert header == ["t", "n3", "n4", "n7"]
         assert rows[0, 1:] == pytest.approx([3.0, 3.0, 3.0])
         assert "max_rel_dev_n3_n7" in manifest.solver_stats
+        # the four- and seven-level models step only what |-1, 3> reaches
+        stats = manifest.solver_stats
+        assert stats["coordinates_n3"] == 36 ** 2
+        assert stats["coordinates_n4"] < 48 ** 2 and stats["coordinates_n7"] < 72 ** 2
         # frame-offset insensitivity: the shipped probe of the default-zero choice
         _, sens = read_csv(tmp_path / "offset_sensitivity.csv")
         assert sens[:, 3].max() < 0.01
@@ -475,6 +501,21 @@ class TestCli:
                          "--output-dir", str(tmp_path / "out")]) == 2
         assert "--rel-tol" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_run_keeps_numpy_blas_on_one_thread(self, tmp_path, monkeypatch):
+        threads = cli._numpy_blas_threads()
+        if threads is None:
+            pytest.skip("numpy does not bundle scipy-openblas here")
+        get, _ = threads
+        seen, real_run = [], cli.scenarios.run
+        monkeypatch.setattr(cli.scenarios, "run",
+                            lambda config: seen.append(get()) or real_run(config))
+        before = get()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scenario = absorption\nsweep.probe_detuning.values = -1,0,1\n")
+        assert cli.main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
+        assert seen == [1]
+        assert get() == before
 
     def test_threads_flag_is_gone(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
