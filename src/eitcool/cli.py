@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 config error, 3 solver failure, 4 output I/O failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import sys
 from pathlib import Path
@@ -75,8 +74,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        with _blas_on_one_thread():
-            manifest = scenarios.run(config)
+        manifest = scenarios.run(config)
     except SolverError as err:
         print(f"solver failure: {err}", file=sys.stderr)
         _write_failure_manifest(config, str(err))
@@ -89,51 +87,6 @@ def main(argv=None) -> int:
     print(f"manifest {config.output_dir / 'manifest.txt'} "
           f"({manifest.wall_time_s:.2f} s)")
     return EXIT_OK
-
-
-def _numpy_blas_threads():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None.
-
-    numpy wheels ship scipy-openblas in numpy.libs; other builds give None.
-    """
-    import ctypes
-    import glob
-    import os
-
-    import numpy as np
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
-                                  "numpy.libs", "libscipy_openblas*"))
-    try:
-        lib = ctypes.CDLL(libs[0])
-        get = lib.scipy_openblas_get_num_threads64_
-        put = lib.scipy_openblas_set_num_threads64_
-    except (IndexError, OSError, AttributeError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    return get, put
-
-
-@contextlib.contextmanager
-def _blas_on_one_thread():
-    """Run numpy's OpenBLAS on the calling thread only; restored on exit.
-
-    A run's BLAS work is small dense products while models are built, so the
-    pool buys nothing there.  Once woken, its worker spins for about 0.1 s on
-    a second core: a nuclear-bath run kept two cores busy for the work of
-    one, and ran 1.6x slower while another process held the second core.
-    """
-    threads = _numpy_blas_threads()
-    if threads is None:
-        yield
-        return
-    get, put = threads
-    previous = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(previous)
 
 
 def _write_failure_manifest(config, message):

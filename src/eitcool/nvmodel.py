@@ -77,13 +77,18 @@ def rotating_hamiltonian(params: ModelParams, space: HilbertSpace) -> Operator:
     H = H + (params.rabi_omega0 / 2) * rabi
     lam = params.lambda_coupling
     if lam:
-        b = ops.annihilation(space).matrix
-        zeeman = (ops.transition(space, "+1", "+1").matrix
-                  - ops.transition(space, "-1", "-1").matrix)
-        H = H + Operator(space, lam * (zeeman @ (b + b.conj().T)))
+        ladder = ops.fock_ladder(space.fock_dim)
+        H = H + Operator(space, lam * np.kron(_zeeman(space), ladder + ladder.T))
     if params.nuclear_shift:
         H = H + params.nuclear_shift * transition_sym(space, "-1", "-1")
     return H
+
+
+def _zeeman(space) -> np.ndarray:
+    """Internal factor |+1><+1| - |-1><-1| of the gradient coupling."""
+    z = np.zeros(space.n_internal)
+    z[space.internal_index("+1")], z[space.internal_index("-1")] = 1.0, -1.0
+    return np.diag(z)
 
 
 def transition_sym(space, a, b) -> Operator:
@@ -114,21 +119,18 @@ def effective_hamiltonian(params: ModelParams, space: HilbertSpace):
 
     dark = dark_state_vector(space)
     a2_dark = np.outer(a2, dark.conj())
-    b = ops.annihilation(space).matrix
-    V = params.eta * (np.kron(
+    ladder = ops.fock_ladder(space.fock_dim)
+    V = params.eta * np.kron(
         (params.rabi_omega0 / math.sqrt(2)) * (a2_dark - a2_dark.conj().T),
-        np.eye(space.fock_dim)) @ (b - b.conj().T))
+        ladder - ladder.T)
     return Operator(space, H0), Operator(space, V)
 
 
 def polaron_generator(params: ModelParams, space: HilbertSpace) -> Operator:
     """Hermitian S with e^{-iS} H^rot e^{iS} = H0 + V + O(eta^2)."""
     _require_levels(space, LAMBDA_LEVELS)
-    zeeman = (ops.transition(space, "+1", "+1").matrix
-              - ops.transition(space, "-1", "-1").matrix)
-    b = ops.annihilation(space).matrix
-    S = -1j * params.eta * (zeeman @ (b - b.conj().T))
-    return Operator(space, S)
+    ladder = ops.fock_ladder(space.fock_dim)
+    return Operator(space, -1j * params.eta * np.kron(_zeeman(space), ladder - ladder.T))
 
 
 def dressed_states(params: ModelParams) -> DressedStateReport:

@@ -191,18 +191,20 @@ def identity(space) -> Operator:
     return Operator(space, np.eye(space.dim, dtype=complex))
 
 
+def fock_ladder(fock_dim) -> np.ndarray:
+    """The Fock factor of b: sqrt(n) on the superdiagonal, fock_dim x fock_dim."""
+    return np.diag(np.sqrt(np.arange(1, fock_dim)), k=1).astype(complex)
+
+
 def annihilation(space) -> Operator:
     """b acting on the Fock factor, identity on the internal factor."""
-    nf = space.fock_dim
-    b = np.zeros((nf, nf), dtype=complex)
-    for n in range(1, nf):
-        b[n - 1, n] = np.sqrt(n)
-    return Operator(space, np.kron(np.eye(space.n_internal, dtype=complex), b))
+    return Operator(space, np.kron(np.eye(space.n_internal), fock_ladder(space.fock_dim)))
 
 
 def number_operator(space) -> Operator:
-    b = annihilation(space)
-    return Operator(space, b.matrix.conj().T @ b.matrix)
+    """b^dag b with diagonal fl(sqrt(n) sqrt(n)), as the product rounds it."""
+    root = np.sqrt(np.arange(space.fock_dim))
+    return Operator(space, np.kron(np.eye(space.n_internal), np.diag(root * root)))
 
 
 def transition(space, ket, bra) -> Operator:
@@ -257,12 +259,26 @@ def liouvillian(model: LindbladModel) -> sparse.csr_array:
     sandwiches = []
     for rate, jump in model.channels:
         C = jump.matrix
-        G = G - 0.5 * rate * (C.conj().T @ C)
+        G = G - 0.5 * rate * _gram(C)
         sandwiches.append(_kron_triplets(rate * C, C.conj()))
     I = np.eye(d)
     terms = [_kron_triplets(G, I), _kron_triplets(I, G.conj())] + sandwiches
     rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
     return sparse.coo_array((vals, (rows, cols)), shape=(d * d, d * d)).tocsr()
+
+
+def _gram(C) -> np.ndarray:
+    """C^dag C, summed over the pairs of nonzeros that share a row of C.
+
+    A dense d x d product would start numpy's BLAS threads.  The pairs cost no
+    more than the nnz(C)^2 triplets of C's sandwich term.
+    """
+    rows, cols = np.nonzero(C)
+    vals = C[rows, cols]
+    p, q = np.nonzero(rows[:, None] == rows)
+    out = np.zeros(C.shape, dtype=complex)
+    np.add.at(out, (cols[p], cols[q]), vals[p].conj() * vals[q])
+    return out
 
 
 def _kron_triplets(a, b):
@@ -334,4 +350,4 @@ def expectation(rho: DensityMatrix, op: Operator) -> complex:
     """Tr(op rho)."""
     if rho.space.dim != op.space.dim:
         raise DimensionError("state and operator dimensions differ")
-    return complex(np.trace(op.matrix @ rho.matrix))
+    return complex(np.sum(op.matrix * rho.matrix.T))

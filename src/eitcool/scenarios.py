@@ -233,21 +233,21 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
                               f"{section}.* keys, got {key!r}")
 
     # the SI anchor of every unit conversion, and so the omega_m field itself
-    anchor_line, omega_m_mhz = entries.pop("params.omega_m_mhz", (None, 1.0))
-    omega_m_mhz = _real("params.omega_m_mhz", omega_m_mhz)
+    omega_m_mhz = _real("params.omega_m_mhz", pop("params.omega_m_mhz", 1.0))
     if not omega_m_mhz > 0:
         raise ConfigError(f"field 'params.omega_m_mhz': must be > 0, got {omega_m_mhz}")
     omega_m_si = TWO_PI * omega_m_mhz * 1e6
 
     param_kwargs, param_lines = {"omega_m": omega_m_si}, {}
-    if anchor_line is not None:
-        param_lines["omega_m"] = (anchor_line, "params.omega_m_mhz")
     for key in [k for k in entries if k.startswith("params.")]:
         lineno, value = entries.pop(key)
         name = key[len("params."):]
         if name != "bath":
             value = _real(key, value)
         name, value = _convert_units(name, value, omega_m_si)
+        if name == "omega_m":
+            raise ConfigError(f"line {lineno}: field {key!r}: omega_m is set only by "
+                              "'params.omega_m_mhz', the anchor of every unit conversion")
         if name not in _PARAM_FIELDS:
             raise ConfigError(f"line {lineno}: unknown parameter field {name!r}")
         if name in param_lines:

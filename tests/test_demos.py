@@ -1,6 +1,7 @@
 """Smoke runs of the demos, each in a fresh interpreter."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +29,19 @@ def test_absorption_demo_writes_its_csv(tmp_path):
     lines = (tmp_path / "absorption_demo.csv").read_text().splitlines()
     assert lines[0] == "omega,absorption" and len(lines) == 2002
     assert lines[1].startswith("-40,")
+
+
+def test_lindblad_cooling_curve_demo(tmp_path):
+    # the one demo through evolve, extract_cooling_rate, steady_state and expectation
+    out = run_demo("03_lindblad_cooling_curve.py", tmp_path)
+    steady = re.search(r"^Liouvillian steady <n>: (\S+) \(rate model: (\S+);", out, re.M)
+    n_ss, n_rate = float(steady[1]), float(steady[2])
+    n_last = float(re.search(r"^ +160\.0 +(\S+)", out, re.M)[1])
+    n_fit = float(re.search(r"^fitted tail <n> +: (\S+)", out, re.M)[1])
+    # cooled from above toward the steady state; the bare-basis dressing keeps it
+    # above the rate model's
+    assert n_rate < n_ss < n_last
+    assert abs(n_fit - n_ss) < 0.1 * n_ss
 
 
 def test_recycling_models_demo(tmp_path):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -372,6 +376,8 @@ class TestMonteCarlo:
         rho0 = ops.basis_state(model.space, "-1", 3)
         single = evolve(model, rho0, 10.0, 21, rel_tol=1e-7, abs_tol=1e-10)
         assert np.abs(out.mean_n - single.column("n")).max() < 1e-12
+        # three equal shifts are one model, solved once
+        assert out.meta["nfev_total"] == single.meta["nfev"]
 
     def test_seed_reproducibility(self):
         kwargs = dict(delta_max=0.3, samples=4, seed=42, fock_dim=12,
@@ -392,7 +398,7 @@ class TestMonteCarlo:
         assert all(a <= b + 1e-12 for a, b in zip(tails, tails[1:]))
 
     def test_failure_reports_realization(self):
-        with pytest.raises(SolverError, match="realization"):
+        with pytest.raises(SolverError, match="realization 0 failed"):
             monte_carlo_detuning(FIG2A, 0.0, samples=2, seed=3, fock_dim=5,
                                  t_final=30.0, sample_count=11)
 
@@ -405,3 +411,37 @@ def test_cooling_time_definition():
     k = np.searchsorted(out.times, out.cooling_time)
     assert out.mean_n[k] <= 1.1 * out.n_ss_mean
     assert np.all(out.mean_n[:k] > 1.1 * out.n_ss_mean)
+
+
+def test_serial_calls_start_no_blas_threads():
+    # a dense d x d product starts numpy's OpenBLAS threads, whose worker then
+    # spins for about 0.1 s on a second core; nothing on the model, generator,
+    # evolve or steady-state path may do that, whatever the thread settings
+    script = textwrap.dedent("""
+        import sys, time, warnings
+        warnings.simplefilter("ignore")
+        from eitcool import operators as ops
+        from eitcool.dynamics import evolve, steady_state
+        from eitcool.nvmodel import build_four_level_model, build_seven_level_model
+        from eitcool.scenarios import load_config
+        params = load_config(sys.argv[1]).params
+        cpu, wall = time.process_time(), time.perf_counter()
+        model = build_seven_level_model(params, 12)
+        evolve(model, ops.basis_state(model.space, "-1", 3), 1.0, 3)
+        steady_state(build_four_level_model(params, 12))
+        cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+        idle = time.process_time()
+        time.sleep(0.3)
+        print(cpu, wall, time.process_time() - idle)
+        """)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(CONFIGS.parent / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(CONFIGS / "recycling_check.cfg")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    cpu, wall, idle = map(float, result.stdout.split())
+    assert idle < 0.05
+    assert cpu <= 1.2 * wall

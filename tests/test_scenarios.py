@@ -219,11 +219,6 @@ class TestConfigParsing:
          "sweep.temperature.values = 0.001,0.002", "'sweep.temperature_mk' and "
          "'sweep.temperature'"),
         ("params.temperature = 0.02\nparams.temperature_mk = 5", "params.temperature"),
-        # the unit conversions would read omega_m_mhz, the model omega_m
-        ("params.omega_m_mhz = 10\nparams.omega_m = 6.283185307179586e6",
-         "'params.omega_m_mhz' and 'params.omega_m'"),
-        ("params.omega_m = 6.283185307179586e6\nparams.omega_m_mhz = 10",
-         "'params.omega_m' and 'params.omega_m_mhz'"),
         # AxisSpec.grid would use the values and drop the bounds
         ("sweep.temperature_mk.start = 1\nsweep.temperature_mk.stop = 9\n"
          "sweep.temperature_mk.points = 9\nsweep.temperature_mk.values = 5,6",
@@ -237,6 +232,22 @@ class TestConfigParsing:
         first, second = 2, 2 + lines.count("\n")
         with pytest.raises(ConfigError, match=f"lines {first} and {second}: .*{names}"):
             parse_config(f"scenario = steady-map\n{lines}\n")
+
+    @pytest.mark.parametrize("lines, line, key", [
+        # alone it would set the model's omega_m while the unit conversions keep
+        # the 1 MHz anchor
+        ("params.omega_m = 6.283185307179586e7", 2, "params.omega_m"),
+        ("params.omega_m_mhz = 10\nparams.omega_m = 6.283185307179586e6", 3,
+         "params.omega_m"),
+        ("params.omega_m = 6.283185307179586e6\nparams.omega_m_mhz = 10", 2,
+         "params.omega_m"),
+        ("params.omega_m_hz = 1e7", 2, "params.omega_m_hz")])
+    def test_omega_m_is_set_only_by_its_anchor(self, lines, line, key, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"scenario = rates-vs-mr\n{lines}\n")
+        assert cli.main(["validate", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line}: field '{key}'" in err and "'params.omega_m_mhz'" in err
 
     @pytest.mark.parametrize("scenario, line, says", [
         # detuning = optimal_detuning(m_R) overflows
@@ -501,21 +512,6 @@ class TestCli:
                          "--output-dir", str(tmp_path / "out")]) == 2
         assert "--rel-tol" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-
-    def test_run_keeps_numpy_blas_on_one_thread(self, tmp_path, monkeypatch):
-        threads = cli._numpy_blas_threads()
-        if threads is None:
-            pytest.skip("numpy does not bundle scipy-openblas here")
-        get, _ = threads
-        seen, real_run = [], cli.scenarios.run
-        monkeypatch.setattr(cli.scenarios, "run",
-                            lambda config: seen.append(get()) or real_run(config))
-        before = get()
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("scenario = absorption\nsweep.probe_detuning.values = -1,0,1\n")
-        assert cli.main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
-        assert seen == [1]
-        assert get() == before
 
     def test_threads_flag_is_gone(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
