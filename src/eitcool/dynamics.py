@@ -14,7 +14,7 @@ from scipy.sparse.linalg import LinearOperator, onenormest, splu
 # and 0.2 s to `import eitcool`, which steady states and closed forms do not need
 
 from . import operators as ops
-from .nvmodel import LAMBDA_LEVELS, build_three_level_model
+from .nvmodel import LAMBDA_LEVELS, build_three_level_model, parity
 from .operators import DensityMatrix, LindbladModel
 from .params import ModelParams
 
@@ -80,16 +80,16 @@ def reachable_coordinates(L, x0) -> np.ndarray:
     L has no entry from this set to outside it, so under dx/dt = L x every other
     coordinate of x0 stays exactly 0.0.
     """
-    # read only L's index arrays: scipy's abs() and some products sort an unsorted
-    # CSR in place, which would move the rounding of every later L @ v
-    rows = np.repeat(np.arange(L.shape[0]), np.diff(L.indptr))
-    reach = np.asarray(x0) != 0
-    while True:
-        grown = reach.copy()
-        grown[rows[reach[L.indices]]] = True
-        if np.array_equal(grown, reach):
-            return np.flatnonzero(reach)
-        reach = grown
+    from scipy.sparse.csgraph import breadth_first_order
+    # a new CSR, so that nothing here touches L's arrays: scipy's abs() and some
+    # products sort an unsorted CSR in place, which would move the rounding of
+    # every later L @ v
+    graph = L.T.tocsr()              # row j lists the i with L[i, j] != 0
+    reach = np.zeros(L.shape[0], dtype=bool)
+    for j in np.flatnonzero(x0):
+        if not reach[j]:
+            reach[breadth_first_order(graph, j, return_predecessors=False)] = True
+    return np.flatnonzero(reach)
 
 
 def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
@@ -97,10 +97,19 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
     """Adaptive Runge-Kutta integration of the master equation.
 
     The state is carried as the real coordinates x = T vec(rho) of
-    `operators.hermitian_coordinates` and stepped with the real generator of
-    `operators.real_liouvillian`, so it stays Hermitian by construction.  Only
-    the coordinates that rho0 reaches (`reachable_coordinates`) are stepped:
-    the others stay exactly 0.0, so this is the same ODE, not a truncation.
+    `operators.hermitian_coordinates` and stepped with the real generator L of
+    `operators.real_liouvillian`, so it stays Hermitian by construction.
+
+    When the parity Pi of `nvmodel.parity` is a symmetry of the model, every
+    observable, the trace and the ladder-top population read only the even part
+    (rho + Pi rho Pi^dag)/2, which L keeps even.  Then only that part is stepped,
+    as z with x = V z on the even basis V of `operators.even_basis`, under the
+    rows of L V at V's coordinates (W V^T L V with W = (V^T V)^-1, since L V is
+    even).  Positivity checkpoints need the full state, so `checkpoint_every`
+    steps all of x.  Of either, only the coordinates the initial state reaches
+    (`reachable_coordinates`) are stepped: the others stay exactly 0.0, so this
+    is the same ODE, not a truncation.
+
     Samples on a uniform grid and monitors the trace (the sum of the diagonal
     coordinates) and the top-of-ladder population.  Exceeding the leakage
     threshold or losing the trace is an error, not a warning.
@@ -108,9 +117,13 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
     meta["hermiticity_max"] is the largest imaginary entry dropped from the
     generator in those coordinates: zero up to rounding when the generator maps
     Hermitian matrices to Hermitian ones, which the real stepping relies on.
-    meta["coordinates"] and meta["generator_nnz"] size the stepped generator.
-    meta["steps"] and meta["min_step"] count the accepted RK45 steps over all
-    sample intervals and give the smallest of them.
+    meta["sector"] is "even" or "full"; meta["coordinates"] and
+    meta["generator_nnz"] size the stepped generator.  meta["steps"] counts the
+    accepted RK45 steps over all sample intervals; meta["min_step"] is the
+    smallest of them that the error control chose, leaving out each interval's
+    first (guessed) and last (clipped to the sample time) step, and inf when no
+    interval took more than two.  meta["max_leakage"] and meta["trace_drift"]
+    are the largest top-of-ladder population and |trace - 1| over the samples.
     """
     for tol in (rel_tol, abs_tol):
         if not 0.0 < tol <= 1e-2:
@@ -133,12 +146,19 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
     obs_rows = np.array([(T_dag.T @ op.matrix.T.ravel()).real
                          for op in model.observables.values()]).reshape(-1, d * d)
     y = (T @ rho0.matrix.ravel()).real
+    symmetry = None if checkpoint_every else parity(model)
+    if symmetry is None:
+        basis = sparse.eye_array(d * d, format="csr")
+    else:
+        basis, reps = ops.even_basis(*symmetry)
+        # z = W V^T x: the even part of x0 in V's columns, each of one or two coordinates
+        y = (basis.T @ y) / np.bincount(basis.indices, minlength=len(reps))
+        L, obs_rows = L[reps] @ basis, obs_rows @ basis
     kept = reachable_coordinates(L, y)
-    if kept.size < d * d:
+    if kept.size < L.shape[0]:
         L, y, obs_rows = L[kept][:, kept], y[kept], obs_rows[:, kept]
-    # kept is sorted and the diagonal coordinates come first
-    n_diag = int(np.searchsorted(kept, d))
-    diag = np.zeros(d)
+        basis = basis[:, kept]
+    diag_rows = basis[:d]
     records = {name: np.empty(len(times)) for name in model.observables}
     records["trace"] = np.empty(len(times))
     leakage = np.empty(len(times))
@@ -150,22 +170,24 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
         if k > 0:
             # stepping RK45 directly keeps only the current state, not every step's
             solver = RK45(lambda _, v: L @ v, times[k - 1], y, t, rtol=rel_tol, atol=abs_tol)
+            sizes = []
             while solver.status == "running":
                 message = solver.step()
                 if solver.status != "failed":
-                    steps += 1
-                    min_step = min(min_step, float(solver.step_size))
+                    sizes.append(solver.step_size)
             nfev += solver.nfev
             if solver.status == "failed":
                 raise SolverError(
                     f"integrator failed near t = {t:g}: {message}; "
                     "consider rescaling rel_tol/abs_tol")
+            steps += len(sizes)
+            min_step = min([min_step, *sizes[1:-1]])
             y = solver.y
-        tr = float(y[:n_diag].sum())
+        diag = diag_rows @ y
+        tr = float(diag.sum())
         if abs(tr - 1.0) > TRACE_LIMIT:
             raise SolverError(
                 f"trace drifted to {tr} at t = {t:g}; rescale tolerances")
-        diag[kept[:n_diag]] = y[:n_diag]
         leak = _top_level_population(diag, model.space)
         if leak > LEAKAGE_LIMIT:
             raise LeakageError(
@@ -176,15 +198,17 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
         for name, value in zip(model.observables, obs_rows @ y):
             records[name][k] = value
         if checkpoint_every and k % checkpoint_every == 0:
-            x = np.zeros(d * d)
-            x[kept] = y
-            rho = (T_dag @ x).reshape(d, d)
+            rho = (T_dag @ (basis @ y)).reshape(d, d)
             min_eig = min(min_eig, float(np.linalg.eigvalsh(rho)[0]))
 
     meta = {"rel_tol": rel_tol, "abs_tol": abs_tol, "nfev": nfev, "steps": steps,
-            "min_step": min_step, "hermiticity_max": dropped, "solver": "RK45",
-            "fock_dim": model.space.fock_dim, "coordinates": int(kept.size),
-            "generator_nnz": int(L.nnz), "generator_build_s": build_s}
+            "min_step": float(min_step), "max_leakage": float(leakage.max()),
+            "trace_drift": float(np.abs(records["trace"] - 1.0).max()),
+            "hermiticity_max": dropped, "solver": "RK45",
+            "fock_dim": model.space.fock_dim,
+            "sector": "full" if symmetry is None else "even",
+            "coordinates": int(kept.size), "generator_nnz": int(L.nnz),
+            "generator_build_s": build_s}
     if checkpoint_every:
         meta["min_eigenvalue"] = min_eig
     return TimeSeries(times=times, records=records, leakage=leakage, meta=meta)

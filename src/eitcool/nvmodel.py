@@ -84,6 +84,29 @@ def rotating_hamiltonian(params: ModelParams, space: HilbertSpace) -> Operator:
     return H
 
 
+def parity(model: LindbladModel):
+    """Pi = (-1)^{b^dag b} (x) swap(|+1>, |-1>) as (states, signs), with
+    Pi|a> = signs[a] |states[a]>, when it is a symmetry of the model
+    (`operators.is_symmetric`); None when it is not, or is the identity.
+
+    The gradient coupling is odd under both factors, the Lambda drive and the
+    dark state (up to its sign) are even under the swap, so every model with
+    gamma_+ = gamma_-, gamma_p1 = gamma_m1, Gamma_p1 = Gamma_m1 and no nuclear
+    shift has it.  A space without both |+1> and |-1> gets the phonon parity alone.
+    """
+    space = model.space
+    internal = np.arange(space.n_internal)
+    if {"+1", "-1"} <= set(space.internal_labels):
+        plus, minus = space.internal_index("+1"), space.internal_index("-1")
+        internal[[plus, minus]] = minus, plus
+    fock = np.arange(space.fock_dim)
+    states = (internal[:, None] * space.fock_dim + fock).ravel()
+    signs = np.tile(1 - 2 * (fock % 2), space.n_internal)
+    if np.array_equal(states, np.arange(space.dim)) and (signs > 0).all():
+        return None
+    return (states, signs) if ops.is_symmetric(model, states, signs) else None
+
+
 def _zeeman(space) -> np.ndarray:
     """Internal factor |+1><+1| - |-1><-1| of the gradient coupling."""
     z = np.zeros(space.n_internal)

@@ -307,6 +307,65 @@ def hermitian_coordinates(d) -> sparse.csr_array:
     return sparse.csr_array((vals, (rows, cols)), shape=(d * d, d * d))
 
 
+def is_symmetric(model: LindbladModel, states, signs) -> bool:
+    """Whether rho -> Pi rho Pi^dag, for the involution Pi|a> = signs[a] |states[a]>,
+    commutes with the model's generator and leaves every observable unchanged.
+
+    Read exactly off the factors: Pi H Pi^dag = H and Pi O Pi^dag = O for every
+    observable O, and Pi maps the channels onto themselves, each jump onto one
+    of the same rate up to its sign.
+    """
+    d = len(states)
+    flat = (states[:, None] * d + states).ravel()
+    outer = np.outer(signs[states], signs[states]).ravel()
+
+    def image(op):
+        return (op.matrix.ravel()[flat] * outer).reshape(d, d)
+
+    if not all(np.array_equal(image(op), op.matrix)
+               for op in [model.hamiltonian, *model.observables.values()]):
+        return False
+    unmatched = list(model.channels)
+    for rate, jump in model.channels:
+        mapped = image(jump)
+        match = next((k for k, (r, other) in enumerate(unmatched) if r == rate and (
+            np.array_equal(mapped, other.matrix) or np.array_equal(mapped, -other.matrix))),
+            None)
+        if match is None:
+            return False
+        del unmatched[match]
+    return True
+
+
+def even_basis(states, signs):
+    """(V, reps): a basis of the coordinate vectors x of `hermitian_coordinates`
+    that rho -> Pi rho Pi^dag leaves unchanged, for the involution
+    Pi|a> = signs[a] |states[a]>.
+
+    On the coordinates that map is a signed permutation, x'[perm[k]] = sign[k] x[k],
+    so the even subspace has the sparse basis e_k (perm[k] = k, sign[k] = +1) and
+    e_k + sign[k] e_perm[k] (k < perm[k]).  V holds these columns, in the order of
+    their coordinates reps = k, and its entries are exactly 0 and +-1.
+    """
+    d = len(states)
+    i, j = np.triu_indices(d, k=1)
+    a, b = states[i], states[j]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    pair = lo * (2 * d - lo - 1) // 2 + hi - lo - 1      # position of (lo, hi) in (i, j)
+    s = signs[i] * signs[j]
+    # Im rho_ab changes sign when Pi reverses the order of the pair
+    perm = np.concatenate([states, d + pair, d + len(i) + pair])
+    sign = np.concatenate([np.ones(d), s, np.where(a < b, s, -s)])
+    k = np.arange(d * d)
+    reps = np.flatnonzero((perm > k) | ((perm == k) & (sign > 0)))
+    col = np.full(d * d, -1)
+    col[reps] = col[perm[reps]] = np.arange(len(reps))
+    coef = np.where(perm >= k, 1.0, sign)
+    rows = col >= 0
+    indptr = np.concatenate([[0], np.cumsum(rows)])
+    return sparse.csr_array((coef[rows], col[rows], indptr), shape=(d * d, len(reps))), reps
+
+
 def real_liouvillian(model: LindbladModel):
     """(Re(T L T^dag) as CSR, the largest |Im| entry dropped from it).
 

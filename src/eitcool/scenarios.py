@@ -542,6 +542,7 @@ def _run_recycling_check(config):
         curves[name] = series.column("n")
         stats[f"nfev_{name}"] = series.meta["nfev"]
         stats[f"coordinates_{name}"] = series.meta["coordinates"]
+        stats[f"sector_{name}"] = series.meta["sector"]
     write_csv(config.output_dir / "recycling.csv", ["t", "n3", "n4", "n7"],
               np.column_stack([series.times, *curves.values()]))
     for a, b in (("n3", "n4"), ("n3", "n7"), ("n4", "n7")):

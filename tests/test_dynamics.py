@@ -7,19 +7,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eitcool.operators as ops
 from eitcool.analytics import (analytic_trajectory, bloch_steady_state, rates,
                                thermal_occupation)
-from eitcool.dynamics import (LeakageError, SolverError, TimeSeries, evolve,
-                              extract_cooling_rate, monte_carlo_detuning,
+from eitcool.dynamics import (LEAKAGE_LIMIT, LeakageError, SolverError, TimeSeries,
+                              evolve, extract_cooling_rate, monte_carlo_detuning,
                               reachable_coordinates, steady_state)
 from eitcool.nvmodel import (build_four_level_model, build_seven_level_model,
-                             build_three_level_model)
+                             build_three_level_model, parity)
 from eitcool.params import ModelParams
 from eitcool.scenarios import load_config
-from test_operators import (LEVELS3, LEVELS6, random_model, sandwich_rhs,
-                            thermal_random_model)
+from test_operators import (LEVELS3, LEVELS6, random_density, random_model,
+                            sandwich_rhs, thermal_random_model)
 
 FIG2A = ModelParams()
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -183,22 +185,28 @@ class TestEvolve:
     def test_matches_complex_reference_integration(self):
         model = build_three_level_model(FIG2A, 8)
         series = evolve_against_complex_reference(model, ops.basis_state(model.space, "-1", 1))
-        # every coordinate is coherently coupled in the Lambda system
-        assert series.meta["coordinates"] == model.space.dim ** 2
-        assert series.meta["generator_nnz"] == ops.real_liouvillian(model)[0].nnz
+        # every even coordinate is coherently coupled in the Lambda system; at an
+        # even fock_dim Pi has trace 0 on the coordinates, so they are half of them
+        assert series.meta["sector"] == "even"
+        assert series.meta["coordinates"] == model.space.dim ** 2 // 2
+        basis, reps = ops.even_basis(*parity(model))
+        L = ops.real_liouvillian(model)[0]
+        assert series.meta["generator_nnz"] == (L[reps] @ basis).nnz
 
     @pytest.mark.filterwarnings("ignore:pump Rabi frequency")
     @pytest.mark.parametrize("builder, kept", [
-        (build_four_level_model, 24 ** 2 + 8 ** 2),
-        (build_seven_level_model, 24 ** 2 + 16 ** 2 + 8 ** 2 - 8)])
+        (build_four_level_model, 24 ** 2 // 2 + 8 ** 2 // 2),
+        (build_seven_level_model, 24 ** 2 // 2 + 16 ** 2 // 2 + 8 ** 2 // 2 - 8)])
     def test_recycling_models_match_complex_reference(self, builder, kept):
         # |0>, |E_y> and |1A1> reach the Lambda block only through jumps, so from
-        # |-1, 1> no coherence between the blocks ever arises.  Each block is
-        # reached in full, except Re <0, n|rho|E_y, n>: the resonant real pump
-        # drive feeds only the imaginary part of those coherences
+        # |-1, 1> no coherence between the blocks ever arises.  The even half of
+        # each block is reached in full, except Re <0, n|rho|E_y, n> (even under
+        # Pi): the resonant real pump drive feeds only the imaginary part of
+        # those coherences
         model = builder(RECYCLING, 8)
         series = evolve_against_complex_reference(model, ops.basis_state(model.space, "-1", 1))
-        assert series.meta["coordinates"] == kept < model.space.dim ** 2
+        assert series.meta["sector"] == "even"
+        assert series.meta["coordinates"] == kept < model.space.dim ** 2 // 2
 
     @pytest.mark.filterwarnings("ignore:pump Rabi frequency")
     def test_block_coherence_reaches_more_coordinates(self):
@@ -206,13 +214,189 @@ class TestEvolve:
         amplitudes = [0.0, 0.8, 0.0, 0.6]          # on ("+1", "-1", "A2", "0")
         rho0 = ops.product_state(model.space, amplitudes, np.eye(8)[1])
         series = evolve_against_complex_reference(model, rho0)
-        assert 640 < series.meta["coordinates"] <= model.space.dim ** 2
+        assert 320 < series.meta["coordinates"] <= model.space.dim ** 2 // 2
+
+    @pytest.mark.filterwarnings("ignore:pump Rabi frequency")
+    @pytest.mark.parametrize("builder", [build_three_level_model, build_four_level_model,
+                                         build_seven_level_model])
+    def test_counters_on_the_recycling_models(self, builder):
+        # bounds fixed beforehand: RK45's guessed first step is 2.3e-4 here, the
+        # steps the error control chooses lie between about 2e-3 and 0.2
+        model = builder(RECYCLING, 12)
+        series = evolve(model, ops.basis_state(model.space, "-1", 3), 10.0, 6,
+                        rel_tol=1e-6, abs_tol=1e-9)
+        meta = series.meta
+        assert 1e-3 < meta["min_step"] < 10.0 / meta["steps"]
+        assert meta["max_leakage"] == series.leakage.max()
+        assert 0.0 < meta["max_leakage"] <= LEAKAGE_LIMIT
+        assert meta["trace_drift"] == np.abs(series.column("trace") - 1.0).max()
+        assert meta["trace_drift"] < 1e-12
 
     def test_records_include_trace(self):
         with pytest.raises(ValueError, match="trace"):
             TimeSeries(times=np.array([0.0, 1.0]),
                        records={"n": np.array([1.0, 0.5])},
                        leakage=np.zeros(2))
+
+
+def coordinate_parity(space, states, signs):
+    """rho -> Pi rho Pi^dag on the Hermitian coordinates, as T kron(Pi, Pi) T^dag
+    with its entries rounded to the +-1 and 0 they are up to rounding."""
+    from scipy import sparse
+    d = space.dim
+    pi = sparse.csr_array((signs.astype(float), (states, np.arange(d))), shape=(d, d))
+    T = ops.hermitian_coordinates(d)
+    P = (T @ sparse.kron(pi, pi) @ T.conj().T).toarray()
+    assert np.abs(P.imag).max() < 1e-12
+    return sparse.csr_array(np.rint(P.real))
+
+
+def symmetrized(model):
+    """The model with H averaged with its Pi image and each channel's Pi image
+    added at the same rate."""
+    states, signs = parity_map(model.space)
+    outer = np.outer(signs[states], signs[states])
+
+    def image(op):
+        return ops.Operator(model.space, op.matrix[np.ix_(states, states)] * outer)
+
+    H = (model.hamiltonian + image(model.hamiltonian)) * 0.5
+    channels = [pair for rate, jump in model.channels
+                for pair in ((rate, jump), (rate, image(jump)))]
+    return ops.LindbladModel(model.space, H, channels, model.observables)
+
+
+def parity_map(space):
+    """Pi of nvmodel.parity on a space with |+1> and |-1>, written out directly."""
+    swap = {"+1": "-1", "-1": "+1"}
+    states = np.array([space.index(swap.get(label, label), n)
+                       for label in space.internal_labels for n in range(space.fock_dim)])
+    signs = np.array([(-1) ** n for _ in space.internal_labels
+                      for n in range(space.fock_dim)])
+    return states, signs
+
+
+def with_parity_observables(model):
+    from eitcool.nvmodel import dark_state_vector
+    space = model.space
+    observables = {"n": ops.number_operator(space),
+                   "p_dark": ops.internal_projector(space, dark_state_vector(space))}
+    return ops.LindbladModel(space, model.hamiltonian, model.channels, observables)
+
+
+class TestParitySector:
+    @pytest.mark.filterwarnings("ignore:pump Rabi frequency")
+    @pytest.mark.parametrize("builder", [build_three_level_model, build_four_level_model,
+                                         build_seven_level_model])
+    @pytest.mark.parametrize("bath", ["zero", "thermal"])
+    def test_builders_commute_exactly(self, builder, bath):
+        model = builder(RECYCLING.replace(bath=bath), 5)
+        symmetry = parity(model)
+        assert symmetry is not None
+        assert all(np.array_equal(a, b) for a, b in zip(symmetry, parity_map(model.space)))
+        P = coordinate_parity(model.space, *symmetry)
+        L = ops.real_liouvillian(model)[0]
+        assert (P @ L @ P != L).nnz == 0
+        # V spans the even subspace: its columns are even, orthogonal, and as
+        # many as the +1 eigenvalues of P
+        basis, reps = ops.even_basis(*symmetry)
+        assert (P @ basis != basis).nnz == 0
+        gram = (basis.T @ basis).toarray()
+        assert np.array_equal(gram, np.diag(np.diag(gram)))
+        assert basis.shape[1] == (L.shape[0] + P.diagonal().sum()) / 2
+        # the stepped rows of L V are W V^T L V, exactly where P L P = L
+        w = 1.0 / np.diag(gram)
+        assert ((basis.T @ L @ basis) * w[:, None] != L[reps] @ basis).nnz == 0
+
+    @pytest.mark.parametrize("change", [dict(nuclear_shift=0.3),
+                                        dict(gamma_plus=7.0, gamma_minus=8.0)])
+    def test_asymmetric_models_take_the_full_path(self, change):
+        model = build_three_level_model(FIG2A.replace(**change), 8)
+        P = coordinate_parity(model.space, *parity_map(model.space))
+        L = ops.real_liouvillian(model)[0]
+        assert abs(P @ L @ P - L).max() > 1e-3
+        self.check_full_path(model)
+
+    def test_an_odd_observable_takes_the_full_path(self):
+        model = build_three_level_model(FIG2A, 8)
+        observables = dict(model.observables, p_plus=ops.transition(model.space, "+1", "+1"))
+        self.check_full_path(ops.LindbladModel(model.space, model.hamiltonian,
+                                               model.channels, observables))
+
+    @staticmethod
+    def check_full_path(model):
+        assert parity(model) is None
+        rho0 = ops.basis_state(model.space, "-1", 2)
+        series = evolve(model, rho0, 5.0, 11)
+        checked = evolve(model, rho0, 5.0, 11, checkpoint_every=2)
+        assert series.meta["sector"] == checked.meta["sector"] == "full"
+        assert series.meta["coordinates"] == model.space.dim ** 2
+        for name in series.records:
+            assert np.array_equal(series.column(name), checked.column(name))
+        assert np.array_equal(series.leakage, checked.leakage)
+
+    def test_checkpoints_step_the_full_state(self):
+        model = build_three_level_model(FIG2A, 8)
+        rho0 = ops.basis_state(model.space, "-1", 2)
+        series = evolve(model, rho0, 5.0, 11, rel_tol=1e-10, abs_tol=1e-13)
+        checked = evolve(model, rho0, 5.0, 11, rel_tol=1e-10, abs_tol=1e-13,
+                         checkpoint_every=5)
+        assert (series.meta["sector"], checked.meta["sector"]) == ("even", "full")
+        assert checked.meta["coordinates"] == 2 * series.meta["coordinates"]
+        for name in series.records:
+            assert np.abs(series.column(name) - checked.column(name)).max() < 1e-8
+
+    @pytest.mark.filterwarnings("ignore:pump Rabi frequency")
+    def test_shipped_models_are_accepted(self):
+        # the models of every simulated config, at a small fock_dim: a config
+        # change that breaks the symmetry would silently double the work
+        from eitcool.scenarios import SCENARIOS
+        bench = CONFIGS.parent / "bench" / "configs"
+        recycling = [load_config(path).params
+                     for path in (CONFIGS / "recycling_check.cfg", bench / "recycling.cfg")]
+        models = [builder(p, 4) for p in recycling for builder in (
+            build_three_level_model, build_four_level_model, build_seven_level_model)]
+        compare = load_config(CONFIGS / "cooling_rate_compare.cfg")
+        m_r = SCENARIOS["cooling-rate-compare"].grid(compare.params, compare.sweep)[0]
+        models += [build_three_level_model(compare.params.replace(
+            rabi_omega0=m, detuning=(m ** 2 - 2) / 2), 4) for m in m_r]
+        bath = load_config(CONFIGS / "nuclear_bath.cfg").params
+        models.append(build_three_level_model(bath, 4))
+        assert len(models) == 9
+        assert all(parity(model) is not None for model in models)
+        # a nuclear-bath realization shifts |-1> alone, and is rejected
+        ensemble = load_config(bench / "nuclear_bath.cfg")
+        u = np.random.default_rng(ensemble.seed).uniform(-1.0, 1.0, size=ensemble.mc_samples)
+        shift = ensemble.sweep["delta_max"].grid()[0] * u[0]
+        assert shift != 0.0
+        model = build_three_level_model(ensemble.params.replace(nuclear_shift=shift), 4)
+        assert parity(model) is None
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), labels=st.sampled_from([LEVELS3, LEVELS6]),
+           symmetric=st.booleans())
+    def test_random_models(self, seed, labels, symmetric):
+        # fock_dim 2 keeps the ladder-top monitor out of random dynamics
+        rng = np.random.default_rng(seed)
+        model = with_parity_observables(thermal_random_model(rng, labels, 2))
+        if symmetric:
+            model = symmetrized(model)
+        d = model.space.dim
+        L, dropped = ops.real_liouvillian(model)
+        assert np.abs(L[:d].sum(axis=0)).max() <= 1e-12
+        assert dropped <= 1e-12
+        rho0 = random_density(rng, model.space)
+        series = evolve(model, rho0, 1.0, 5, rel_tol=1e-10, abs_tol=1e-12)
+        if not symmetric:
+            assert parity(model) is None and series.meta["sector"] == "full"
+            return
+        symmetry = parity(model)
+        assert symmetry is not None and series.meta["sector"] == "even"
+        P = coordinate_parity(model.space, *symmetry)
+        assert abs(P @ L @ P - L).max() <= 1e-12 * abs(L).max()
+        full = evolve(model, rho0, 1.0, 5, rel_tol=1e-10, abs_tol=1e-12, checkpoint_every=4)
+        for name in series.records:
+            assert np.abs(series.column(name) - full.column(name)).max() < 1e-7
 
 
 def complex_lu_steady_state(model):

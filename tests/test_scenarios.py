@@ -435,10 +435,12 @@ class TestRunners:
         assert header == ["t", "n3", "n4", "n7"]
         assert rows[0, 1:] == pytest.approx([3.0, 3.0, 3.0])
         assert "max_rel_dev_n3_n7" in manifest.solver_stats
-        # the four- and seven-level models step only what |-1, 3> reaches
+        # each model steps only the parity-even coordinates, and of those the
+        # four- and seven-level models only what |-1, 3> reaches
         stats = manifest.solver_stats
-        assert stats["coordinates_n3"] == 36 ** 2
-        assert stats["coordinates_n4"] < 48 ** 2 and stats["coordinates_n7"] < 72 ** 2
+        assert [stats[f"sector_{name}"] for name in ("n3", "n4", "n7")] == ["even"] * 3
+        assert stats["coordinates_n3"] == 36 ** 2 // 2
+        assert stats["coordinates_n4"] == 720 and stats["coordinates_n7"] == 996
         # frame-offset insensitivity: the shipped probe of the default-zero choice
         _, sens = read_csv(tmp_path / "offset_sensitivity.csv")
         assert sens[:, 3].max() < 0.01
