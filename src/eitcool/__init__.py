@@ -3,6 +3,13 @@ nanomechanical cantilever coupled to an NV center by a magnetic field gradient."
 
 __version__ = "0.1.0"
 
+# scipy's OpenBLAS starts a worker thread when it loads, and the worker
+# busy-waits for about 0.1 s before it first sleeps.  scipy.sparse.linalg
+# (dynamics) loads it through scipy.linalg.  Loaded here, before scipy.sparse,
+# that spin ends inside `import eitcool` instead of running on a second core
+# through the caller's first calls.
+import scipy.linalg
+
 from .analytics import (RateReport, SpectrumSeries, absorption_spectrum,
                         analytic_trajectory, bloch_steady_state,
                         correlation_transform_closed_form,

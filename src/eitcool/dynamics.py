@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
-# scipy.integrate and scipy.optimize are imported where used: they add about 20 MB
-# and 0.2 s to `import eitcool`, which steady states and closed forms do not need
+# scipy.optimize is imported where used: it adds megabytes and tenths of a second
+# to `import eitcool`, which steady states and closed forms do not need
 
 from . import operators as ops
 from .nvmodel import LAMBDA_LEVELS, build_three_level_model, parity
@@ -23,6 +23,11 @@ TRACE_LIMIT = 1e-6
 # 1-norm condition estimate of the trace-constrained Liouvillian: the shipped models
 # read 2e4-3e4, a model with two steady states about 1e19 (exactly 4e18)
 DEGENERACY_COND = 1e12
+# A Chebyshev substep h spans at most SUBSTEP_SIZE = h(a + b)/2 of its
+# ellipse, where the series needs fewer than SERIES_TERMS terms even on the
+# ellipse's edge (at most 452 measured, CHANGES.md)
+SUBSTEP_SIZE = 160.0
+SERIES_TERMS = 512
 
 
 class SolverError(RuntimeError):
@@ -92,9 +97,131 @@ def reachable_coordinates(L, x0) -> np.ndarray:
     return np.flatnonzero(reach)
 
 
+def _bessel_series(x, count, modified):
+    """J_k(x), or I_k(x) e^-x when `modified`, for k < count and x > 0.
+
+    Miller's backward recurrence, normalized with J_0 + 2 sum J_2k = 1
+    (I_0 + 2 sum I_k = e^x); its values are exact to rounding relative to the
+    largest.  It imports nothing: scipy.special costs 0.07 s on first use.
+    """
+    top = count + int(x) + 32
+    sign = 1.0 if modified else -1.0
+    values = [0.0] * (top + 1)
+    above, value = 0.0, 1e-300
+    for k in range(top, 0, -1):
+        above, value = value, 2 * k / x * value + sign * above
+        if abs(value) > 1e250:
+            above, value = above * 1e-250, value * 1e-250
+            values = [v * 1e-250 for v in values]
+        values[k - 1] = value
+    values = np.array(values[:count])
+    norm = values[0] + 2 * (values[1:].sum() if modified else values[2::2].sum())
+    return values / norm
+
+
+class _Chebyshev:
+    """exp(h L) x as a Chebyshev series on an ellipse that holds the spectrum
+    of L (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984); Huisinga, Pesce,
+    Kosloff & Saalfrank, J. Chem. Phys. 110, 5538 (1999)).
+
+    The spectrum lies in Re z <= 0 (a Lindblad generator, or its restriction
+    to an invariant subspace), at Re z >= the lowest Gershgorin bound of
+    (L + L^T)/2 and |Im z| <= the largest Gershgorin radius of (L - L^T)/2.
+    The ellipse runs through the corners of that rectangle, with centre c and
+    semi-axes a, b (along Re, Im) sqrt2 times its half-widths.  With its foci
+    at c +- f (a > b), exp(h z) = e^(hc) [I_0(hf) + 2 sum I_k(hf) T_k(w)] for
+    w = (z - c)/f; with them at c +- i f, the same with J_k and i^k T_k(-i w).
+    Both recurrences are real: u_k+1 = M u_k -+ u_k-1 with M = 2(L - c)/f.
+
+    A step of `span` is cut into `substeps` equal ones of length h.  The terms
+    of the series reach max |exp(h z)| on the ellipse, e^(h(c + a)), and so
+    does its rounding error relative to eps; h keeps that under
+    tol = min(rel_tol, abs_tol).  Each substep stops once k >= hf and the last
+    two terms are below min(abs_tol, rel_tol max |x|), and is divided by the
+    same truncated series at z = 0, a scalar run of the recurrence: the
+    polynomial is then exact on the eigenvalue 0, whose left eigenvector is
+    the trace, so the trace is conserved to rounding.
+    """
+
+    def __init__(self, L, span, rel_tol, abs_tol):
+        self.rel_tol, self.abs_tol = rel_tol, abs_tol
+        # (L +- L^T)/2 are new matrices: abs() sorts a CSR's indices in place,
+        # which on L itself would move the rounding of every L @ v
+        sym, skew = (L + L.T) * 0.5, (L - L.T) * 0.5
+        diag = sym.diagonal()
+        low = float((diag + np.abs(diag) - abs(sym).sum(axis=1)).min(initial=0.0))
+        height = float(abs(skew).sum(axis=1).max(initial=0.0))
+        if not math.isfinite(low + height):
+            raise SolverError("the generator has non-finite entries")
+        c, a, b = low / 2, -low / math.sqrt(2), height * math.sqrt(2)
+        # keep the foci at least half a semi-axis from the centre, so that the
+        # series converges quickly; a circle would put them at c
+        if b > a:
+            b = max(b, 2 * a / math.sqrt(3))
+            f, self.sign = math.sqrt(b * b - a * a), 1.0
+        else:
+            a = max(a, 2 * b / math.sqrt(3))
+            f, self.sign = math.sqrt(a * a - b * b), -1.0
+        self.ellipse = (c, a, b)
+        growth = max(1.0, math.log(min(rel_tol, abs_tol) / np.finfo(float).eps))
+        self.substeps = max(1, math.ceil(span * (a + b) / 2 / SUBSTEP_SIZE),
+                            math.ceil(span * (c + a) / growth))
+        self.h = h = span / self.substeps
+        self.focus = h * f
+        if f == 0.0:             # L = 0: the ellipse is the point 0
+            self.coef = None
+            return
+        if self.sign > 0:
+            coef = 2 * math.exp(h * c) * _bessel_series(h * f, SERIES_TERMS, False)
+        else:
+            coef = 2 * math.exp(h * (c + f)) * _bessel_series(h * f, SERIES_TERMS, True)
+        coef[0] /= 2
+        self.coef = coef
+        n = L.shape[0]
+        self.M = ((L - c * sparse.eye_array(n, format="csr")) * (2 / f)).tocsr()
+        # the same series at z = 0, one partial sum per truncation
+        scalar = -2 * c / f
+        values = np.empty(SERIES_TERMS)
+        values[0], values[1] = 1.0, scalar / 2
+        for k in range(2, SERIES_TERMS):
+            values[k] = scalar * values[k - 1] + self.sign * values[k - 2]
+        self.at_zero = np.cumsum(coef * values)
+
+    def advance(self, x):
+        """(exp(span L) x, generator applications)."""
+        if self.coef is None:
+            return x, 0
+        M, coef, sign = self.M, self.coef, self.sign
+        applied = 0
+        for _ in range(self.substeps):
+            tol = min(self.abs_tol, self.rel_tol * float(np.abs(x).max()))
+            prev, cur = x, 0.5 * (M @ x)
+            out = coef[0] * prev + coef[1] * cur
+            for k in range(2, len(coef)):
+                nxt = M @ cur
+                if sign > 0:
+                    nxt += prev
+                else:
+                    nxt -= prev
+                prev, cur = cur, nxt
+                out += coef[k] * cur
+                if k % 4 == 0 and k >= self.focus \
+                        and abs(coef[k]) * np.abs(cur).max() < tol \
+                        and abs(coef[k - 1]) * np.abs(prev).max() < tol:
+                    break
+            else:
+                raise SolverError(
+                    f"Chebyshev series did not converge within {len(coef)} terms")
+            applied += k
+            x = out / self.at_zero[k]
+        if not np.isfinite(x).all():
+            raise SolverError("Chebyshev propagation produced a non-finite state")
+        return x, applied
+
+
 def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
            rel_tol=1e-8, abs_tol=1e-10, checkpoint_every=None) -> TimeSeries:
-    """Adaptive Runge-Kutta integration of the master equation.
+    """Integration of the master equation by a Chebyshev series of exp(dt L).
 
     The state is carried as the real coordinates x = T vec(rho) of
     `operators.hermitian_coordinates` and stepped with the real generator L of
@@ -110,20 +237,22 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
     (`reachable_coordinates`) are stepped: the others stay exactly 0.0, so this
     is the same ODE, not a truncation.
 
-    Samples on a uniform grid and monitors the trace (the sum of the diagonal
-    coordinates) and the top-of-ladder population.  Exceeding the leakage
-    threshold or losing the trace is an error, not a warning.
+    The samples lie on a uniform grid, so one propagator (`_Chebyshev`) carries
+    the state from each sample to the next.  Each of its substeps truncates the
+    series once a term falls below min(abs_tol, rel_tol * max |x|).  The trace
+    (the sum of the diagonal coordinates) and the top-of-ladder population are
+    monitored at every sample: exceeding the leakage threshold or losing the
+    trace is an error, not a warning.
 
     meta["hermiticity_max"] is the largest imaginary entry dropped from the
     generator in those coordinates: zero up to rounding when the generator maps
     Hermitian matrices to Hermitian ones, which the real stepping relies on.
     meta["sector"] is "even" or "full"; meta["coordinates"] and
-    meta["generator_nnz"] size the stepped generator.  meta["steps"] counts the
-    accepted RK45 steps over all sample intervals; meta["min_step"] is the
-    smallest of them that the error control chose, leaving out each interval's
-    first (guessed) and last (clipped to the sample time) step, and inf when no
-    interval took more than two.  meta["max_leakage"] and meta["trace_drift"]
-    are the largest top-of-ladder population and |trace - 1| over the samples.
+    meta["generator_nnz"] size the stepped generator.  meta["nfev"] counts its
+    applications, meta["steps"] the substeps over all sample intervals and
+    meta["min_step"] is their length h; meta["ellipse"] is the series' (c, a, b).
+    meta["max_leakage"] and meta["trace_drift"] are the largest top-of-ladder
+    population and |trace - 1| over the samples.
     """
     for tol in (rel_tol, abs_tol):
         if not 0.0 < tol <= 1e-2:
@@ -132,8 +261,9 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
         raise ops.DimensionError("initial state does not match the model space")
     if sample_count < 2:
         raise ValueError("need at least two samples")
+    if not t_final > 0:
+        raise ValueError(f"t_final must be > 0, got {t_final}")
 
-    from scipy.integrate import RK45
     d = model.space.dim
     start = time.perf_counter()
     L, dropped = ops.real_liouvillian(model)
@@ -163,26 +293,13 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
     records["trace"] = np.empty(len(times))
     leakage = np.empty(len(times))
     min_eig = math.inf
-    nfev = steps = 0
-    min_step = math.inf
+    nfev = 0
+    propagator = _Chebyshev(L, float(t_final) / (len(times) - 1), rel_tol, abs_tol)
 
     for k, t in enumerate(times):
         if k > 0:
-            # stepping RK45 directly keeps only the current state, not every step's
-            solver = RK45(lambda _, v: L @ v, times[k - 1], y, t, rtol=rel_tol, atol=abs_tol)
-            sizes = []
-            while solver.status == "running":
-                message = solver.step()
-                if solver.status != "failed":
-                    sizes.append(solver.step_size)
-            nfev += solver.nfev
-            if solver.status == "failed":
-                raise SolverError(
-                    f"integrator failed near t = {t:g}: {message}; "
-                    "consider rescaling rel_tol/abs_tol")
-            steps += len(sizes)
-            min_step = min([min_step, *sizes[1:-1]])
-            y = solver.y
+            y, applied = propagator.advance(y)
+            nfev += applied
         diag = diag_rows @ y
         tr = float(diag.sum())
         if abs(tr - 1.0) > TRACE_LIMIT:
@@ -201,10 +318,12 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
             rho = (T_dag @ (basis @ y)).reshape(d, d)
             min_eig = min(min_eig, float(np.linalg.eigvalsh(rho)[0]))
 
-    meta = {"rel_tol": rel_tol, "abs_tol": abs_tol, "nfev": nfev, "steps": steps,
-            "min_step": float(min_step), "max_leakage": float(leakage.max()),
+    meta = {"rel_tol": rel_tol, "abs_tol": abs_tol, "nfev": nfev,
+            "steps": propagator.substeps * (len(times) - 1),
+            "min_step": propagator.h, "ellipse": propagator.ellipse,
+            "max_leakage": float(leakage.max()),
             "trace_drift": float(np.abs(records["trace"] - 1.0).max()),
-            "hermiticity_max": dropped, "solver": "RK45",
+            "hermiticity_max": dropped, "solver": "chebyshev",
             "fock_dim": model.space.fock_dim,
             "sector": "full" if symmetry is None else "even",
             "coordinates": int(kept.size), "generator_nnz": int(L.nnz),

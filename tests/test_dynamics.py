@@ -113,6 +113,38 @@ class TestEvolve:
                         8.0, 81, rel_tol=1e-9, abs_tol=1e-12)
         want = np.exp(-gamma * series.times)
         assert np.abs(series.column("n") - want).max() < 1e-6 * want.max()
+        # the decay spreads the spectrum along Re more than along Im, so the
+        # series runs on the real-foci branch (modified Bessel coefficients)
+        _, a, b = series.meta["ellipse"]
+        assert a > b > 0.0
+
+    def test_zero_generator_returns_the_initial_state(self):
+        # no Hamiltonian and no channels: the ellipse is the point 0
+        space = ops.internal_space(("g", "e", "f"))
+        observables = {"p_e": ops.transition(space, "e", "e"),
+                       "coherence": ops.transition(space, "e", "g") + ops.transition(space, "g", "e")}
+        model = ops.LindbladModel(space, ops.identity(space) * 0.0, [], observables)
+        rho0 = random_density(np.random.default_rng(5), space)
+        series = evolve(model, rho0, 3.0, 4)
+        for name in series.records:
+            column = series.column(name)
+            assert np.array_equal(column, np.full_like(column, column[0]))
+        assert series.column("p_e")[0] == rho0.matrix[1, 1].real
+        assert series.meta["nfev"] == 0
+        assert series.meta["ellipse"] == (0.0, 0.0, 0.0)
+
+    def test_series_out_of_terms_is_an_error(self, monkeypatch):
+        import eitcool.dynamics as dynamics
+        monkeypatch.setattr(dynamics, "SERIES_TERMS", 8)
+        model = build_three_level_model(FIG2A, 8)
+        with pytest.raises(SolverError, match="did not converge within 8 terms"):
+            evolve(model, ops.basis_state(model.space, "-1", 1), 5.0, 11)
+
+    def test_non_finite_generator_is_an_error(self):
+        with np.errstate(invalid="ignore"):
+            model = damping_model(gamma=math.inf)
+        with pytest.raises(SolverError, match="non-finite"), np.errstate(invalid="ignore"):
+            evolve(model, ops.basis_state(model.space, "g", 1), 1.0, 3)
 
     def test_rabi_oscillation(self):
         omega, delta = 1.3, 0.7
@@ -153,20 +185,39 @@ class TestEvolve:
         rho0 = ops.basis_state(model.space, "g", 0)
         with pytest.raises(ValueError):
             evolve(model, rho0, 1.0, 11, rel_tol=0.5)
+        with pytest.raises(ValueError, match="t_final"):
+            evolve(model, rho0, 0.0, 11)
 
-    def test_solver_order(self):
-        # no error plateau: halving rel_tol keeps reducing the observable error
-        model = build_three_level_model(FIG2A, 8)
+    @pytest.mark.filterwarnings("ignore:pump Rabi frequency")
+    @pytest.mark.parametrize("builder, change, checkpoint_every, sector", [
+        (build_three_level_model, {}, None, "even"),
+        (build_four_level_model, {}, None, "even"),
+        (build_seven_level_model, {}, None, "even"),
+        (build_three_level_model, dict(nuclear_shift=0.3), None, "full"),
+        (build_three_level_model, {}, 2, "full")],
+        ids=["n3", "n4", "n7", "nuclear-shift", "checkpointed"])
+    def test_matches_tight_reference(self, builder, change, checkpoint_every, sector):
+        # bound fixed beforehand: 1e-8 absolute on every observable, the trace
+        # and the ladder top at the default tolerances, against DOP853 at rtol
+        # 1e-13 on the full real generator
+        from scipy.integrate import solve_ivp
+        model = builder(RECYCLING.replace(**change), 8)
         rho0 = ops.basis_state(model.space, "-1", 1)
-
-        def run(rtol):
-            return evolve(model, rho0, 5.0, 11, rel_tol=rtol,
-                          abs_tol=1e-14).column("n")
-
-        reference = run(1e-11)
-        errors = [np.abs(run(rtol) - reference).max()
-                  for rtol in (1e-4, 5e-5, 2.5e-5, 1.25e-5)]
-        assert all(a > b for a, b in zip(errors, errors[1:]))
+        series = evolve(model, rho0, 5.0, 11, checkpoint_every=checkpoint_every)
+        assert series.meta["sector"] == sector
+        d = model.space.dim
+        L = ops.real_liouvillian(model)[0]
+        ref = solve_ivp(lambda _, x: L @ x, (0.0, 5.0), initial_coordinates(rho0),
+                        method="DOP853", t_eval=series.times, rtol=1e-13, atol=1e-16)
+        T_dag = ops.hermitian_coordinates(d).conj().T
+        rhos = [(T_dag @ x).reshape(d, d) for x in ref.y.T]
+        for name, op in model.observables.items():
+            want = [np.trace(op.matrix @ rho).real for rho in rhos]
+            assert np.abs(series.column(name) - want).max() < 1e-8
+        assert np.abs(series.column("trace") - [np.trace(rho).real for rho in rhos]).max() < 1e-8
+        top = [np.diagonal(rho).real.reshape(model.space.n_internal, model.space.fock_dim)
+               [:, -2:].sum() for rho in rhos]
+        assert np.abs(series.leakage - top).max() < 1e-8
 
     def test_meta_reports_generator(self):
         model = damping_model(fock=6)
@@ -220,13 +271,13 @@ class TestEvolve:
     @pytest.mark.parametrize("builder", [build_three_level_model, build_four_level_model,
                                          build_seven_level_model])
     def test_counters_on_the_recycling_models(self, builder):
-        # bounds fixed beforehand: RK45's guessed first step is 2.3e-4 here, the
-        # steps the error control chooses lie between about 2e-3 and 0.2
+        # bounds fixed beforehand: the substeps cut each of the five sample
+        # intervals into equal parts, of length min_step
         model = builder(RECYCLING, 12)
         series = evolve(model, ops.basis_state(model.space, "-1", 3), 10.0, 6,
                         rel_tol=1e-6, abs_tol=1e-9)
         meta = series.meta
-        assert 1e-3 < meta["min_step"] < 10.0 / meta["steps"]
+        assert meta["steps"] % 5 == 0 and meta["min_step"] == 10.0 / meta["steps"]
         assert meta["max_leakage"] == series.leakage.max()
         assert 0.0 < meta["max_leakage"] <= LEAKAGE_LIMIT
         assert meta["trace_drift"] == np.abs(series.column("trace") - 1.0).max()
@@ -595,6 +646,30 @@ def test_cooling_time_definition():
     k = np.searchsorted(out.times, out.cooling_time)
     assert out.mean_n[k] <= 1.1 * out.n_ss_mean
     assert np.all(out.mean_n[:k] > 1.1 * out.n_ss_mean)
+
+
+def test_evolve_does_not_load_scipy_integrate():
+    # scipy.integrate adds about 15 MB and 0.2 s to a process; no simulated
+    # run needs it
+    script = textwrap.dedent("""
+        import sys, warnings
+        warnings.simplefilter("ignore")
+        from eitcool import operators as ops
+        from eitcool.dynamics import evolve
+        from eitcool.nvmodel import build_seven_level_model
+        from eitcool.scenarios import load_config
+        model = build_seven_level_model(load_config(sys.argv[1]).params, 12)
+        evolve(model, ops.basis_state(model.space, "-1", 3), 1.0, 3)
+        print("scipy.integrate" in sys.modules)
+        """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(CONFIGS.parent / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(CONFIGS / "recycling_check.cfg")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False"]
 
 
 def test_serial_calls_start_no_blas_threads():
