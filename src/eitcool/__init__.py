@@ -36,5 +36,5 @@ from .operators import (DensityMatrix, DimensionError, HilbertSpace,
                         real_liouvillian, transition)
 from .params import ModelParams
 from .csvio import write_spectrum_csv, write_timeseries_csv
-from .scenarios import (ConfigError, ScenarioConfig, load_config,
-                        robustness_sweep, run, validate_config)
+from .scenarios import (ConfigError, ScenarioConfig, load_config, run,
+                        validate_config)

@@ -221,14 +221,11 @@ def rate_equation_evolve(a_plus, a_minus, gamma_m, thermal_n, p0, t_grid,
 # ---------------------------------------------------------------------------
 # internal-state Bloch system (bright/dark basis) and the regression oracle
 
-_BLOCH_VARS = ("rho_bb", "rho_dd", "sx_bd", "sy_bd",
-               "sx_A2b", "sy_A2b", "sx_A2d", "sy_A2d")
-
-
 def bloch_system(params: ModelParams):
     """Affine generator (M, c) for d<v>/dt = M <v> + c over the 8 Bloch variables.
 
-    Variables: populations of bright/dark states and the x/y quadratures of the
+    Variables, in order: rho_bb, rho_dd, sx_bd, sy_bd, sx_A2b, sy_A2b, sx_A2d,
+    sy_A2d, the populations of bright/dark states and the x/y quadratures of the
     bright-dark and excited-state coherences; the excited population is
     eliminated through the trace.  Decay feeds bright and dark equally at
     Gamma/2.  The excited-coherence drive term enters with the sign that makes

@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 config error, 3 solver failure, 4 output I/O failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -31,7 +30,6 @@ def build_parser():
     run_p.add_argument("config", help="path to the scenario config file")
     run_p.add_argument("--output-dir", help="override the config output_dir")
     run_p.add_argument("--seed", type=int, help="override the config seed")
-    run_p.add_argument("--rel-tol", type=float, help="override solver.rel_tol")
 
     val_p = sub.add_parser("validate", help="check a config without running it")
     val_p.add_argument("config")
@@ -64,12 +62,6 @@ def main(argv=None) -> int:
             config.output_dir = Path(args.output_dir)
         if args.seed is not None:
             config.seed = args.seed
-        if args.rel_tol is not None:
-            if "solver" not in SCENARIOS[config.scenario].sections:
-                raise ConfigError(f"--rel-tol: scenario {config.scenario!r} "
-                                  "reads no solver section")
-            # replace() re-runs the range checks of SolverSpec
-            config.solver = dataclasses.replace(config.solver, rel_tol=args.rel_tol)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

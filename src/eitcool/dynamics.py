@@ -51,7 +51,8 @@ class TimeSeries:
             raise ValueError("times must be strictly increasing")
         if "trace" not in self.records:
             raise ValueError("records must include 'trace'")
-        if np.max(np.abs(np.asarray(self.records["trace"]) - 1.0)) > TRACE_LIMIT:
+        # written so that a NaN trace fails too
+        if not np.all(np.abs(np.asarray(self.records["trace"]) - 1.0) <= TRACE_LIMIT):
             raise ValueError("trace deviates from 1 beyond 1e-6")
 
     def column(self, name):

@@ -26,6 +26,10 @@ from scipy import sparse
 # Dense-operator guard: beyond this total dimension the dense d x d operators
 # and states stop being a sensible desk-scale tool.
 MAX_DENSE_DIM = 1024
+# peak bytes per COO triplet while `liouvillian` builds: 32 for its int64 row and
+# column and complex value, 32 for their concatenated copy and about 28 for the
+# CSR conversion (88-93 measured under tracemalloc)
+BUILD_BYTES_PER_TRIPLET = 96
 
 
 class DimensionError(ValueError):
@@ -253,14 +257,24 @@ def liouvillian(model: LindbladModel) -> sparse.csr_array:
 
     With vec(A rho B) = kron(A, B^T) vec(rho) and G = -iH - (1/2) sum gamma C^dag C,
     it is kron(G, I) + kron(I, G*) + sum gamma kron(C, C*), summed from COO triplets.
+    DimensionError when building from the triplets would exceed physical memory,
+    counted before each is allocated.
     """
     d = model.space.dim
+    # nnz(C)^2 triplets in each sandwich, and in _gram one pair per two nonzeros of a row
+    per_row = [np.count_nonzero(jump.matrix, axis=1) for _, jump in model.channels]
+    jump_triplets = sum(int(k.sum()) ** 2 + int(k @ k) for k in per_row)
+    _check_memory(BUILD_BYTES_PER_TRIPLET * jump_triplets,
+                  f"the jump terms of the generator at dimension {d}")
     G = -1j * model.hamiltonian.matrix
     sandwiches = []
     for rate, jump in model.channels:
         C = jump.matrix
         G = G - 0.5 * rate * _gram(C)
         sandwiches.append(_kron_triplets(rate * C, C.conj()))
+    held = sum(len(vals) for _, _, vals in sandwiches)
+    _check_memory(BUILD_BYTES_PER_TRIPLET * (held + 2 * d * np.count_nonzero(G)),
+                  f"the generator at dimension {d}")
     I = np.eye(d)
     terms = [_kron_triplets(G, I), _kron_triplets(I, G.conj())] + sandwiches
     rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
@@ -397,12 +411,16 @@ def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
     """Dense view of `liouvillian` for tests and debugging; DimensionError when its
     16 d^4 bytes exceed physical memory."""
     d = model.space.dim
-    need = 16 * d ** 4
+    _check_memory(16 * d ** 4, f"dense superoperator at dimension {d}")
+    return liouvillian(model).toarray()
+
+
+def _check_memory(need, what):
+    """DimensionError when `need` bytes exceed physical memory."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise DimensionError(f"dense superoperator at dimension {d} needs {need} bytes, "
+        raise DimensionError(f"{what} needs {need} bytes, "
                              f"more than the {have} bytes of physical memory")
-    return liouvillian(model).toarray()
 
 
 def expectation(rho: DensityMatrix, op: Operator) -> complex:

@@ -3,7 +3,7 @@
 Config grammar (UTF-8, one scenario per file):
     # comment lines and blank lines are ignored
     key = value
-Dotted keys select sections: params.*, solver.*, sweep.<axis>.*, mc.*, fit.*,
+Dotted keys select sections: params.*, solver.*, sweep.<axis>.*, mc.*,
 recycling.*; everything else is top-level (scenario, seed, output_dir).  A
 key of an axis or section that SCENARIOS does not list for the scenario is an
 error.  Fields suffixed _hz / _mhz are converted to omega_m units and _mk to
@@ -53,7 +53,7 @@ class Scenario:
 
 
 _PARAM_FIELDS = {f.name for f in dataclasses.fields(ModelParams)}
-_SECTIONS = ("solver", "mc", "fit", "recycling")
+_SECTIONS = ("solver", "mc", "recycling")
 
 
 @dataclass
@@ -82,7 +82,6 @@ class SolverSpec:
     sample_count: int = 201
 
     def __post_init__(self):
-        # here, so that the parser and the CLI's --rel-tol share one check
         for name in ("rel_tol", "abs_tol", "t_final"):
             setattr(self, name, _real(f"solver.{name}", getattr(self, name)))
         # fock_dim >= 2: a single-level ladder carries no phonon
@@ -104,9 +103,6 @@ class ScenarioConfig:
     seed: int = 42
     output_dir: Path = Path("out")
     mc_samples: int = 200
-    fit_transient_over_gamma: float = 5.0
-    fit_start_fraction: float = 0.2
-    fit_end_fraction: float = 0.008
     recycling_sensitivity: bool = False
     raw_text: str = ""
 
@@ -340,22 +336,11 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
     if "threads" in entries:
         _integer("threads", pop("threads"), 1)
 
-    transient = _real("fit.transient_over_gamma", pop("fit.transient_over_gamma", 5.0))
-    start = _real("fit.start_fraction", pop("fit.start_fraction", 0.2))
-    end = _real("fit.end_fraction", pop("fit.end_fraction", 0.008))
-    if not (transient >= 0 and 0 < end < start <= 1):
-        raise ConfigError(
-            "fields 'fit.transient_over_gamma', 'fit.start_fraction', 'fit.end_fraction': "
-            f"need 0 <= transient_over_gamma and 0 < end_fraction < start_fraction <= 1, "
-            f"got {transient}, {start}, {end}")
-
     config = ScenarioConfig(
         scenario=scenario, params=params, sweep=sweep, solver=solver,
         seed=_integer("seed", pop("seed", 42), 0),
         output_dir=Path(pop("output_dir", "out")),
         mc_samples=_integer("mc.samples", pop("mc.samples", 200), 1),
-        fit_transient_over_gamma=transient, fit_start_fraction=start,
-        fit_end_fraction=end,
         recycling_sensitivity=_boolean("recycling.sensitivity",
                                        pop("recycling.sensitivity", False)),
         raw_text=text)
@@ -487,15 +472,12 @@ def _run_cooling_rate_compare(config):
         rho0 = ops.product_state(model.space, dark_state_vector(model.space), fock_pops)
         series = dynamics.evolve(model, rho0, solver.t_final, solver.sample_count,
                                  rel_tol=solver.rel_tol, abs_tol=solver.abs_tol)
-        fit = dynamics.extract_cooling_rate(
-            series, "n",
-            transient_time=config.fit_transient_over_gamma / pp.gamma_total,
-            start_fraction=config.fit_start_fraction,
-            end_fraction=config.fit_end_fraction)
+        decay = dynamics.extract_cooling_rate(series, "n",
+                                              transient_time=5.0 / pp.gamma_total)
         analytic = analytics.rates(pp)
-        rows.append([float(m_r), fit.w_fit, analytic.w, fit.w_fit / lam,
-                     analytic.w / lam, fit.n_ss_fit, fit.residual_rms,
-                     fit.fit_window[0], fit.fit_window[1]])
+        rows.append([float(m_r), decay.w_fit, analytic.w, decay.w_fit / lam,
+                     analytic.w / lam, decay.n_ss_fit, decay.residual_rms,
+                     decay.fit_window[0], decay.fit_window[1]])
         nfev += series.meta["nfev"]
     write_csv(config.output_dir / "cooling_rate.csv",
               ["m_r", "w_fit", "w_analytic", "w_fit_over_lambda",
@@ -511,7 +493,7 @@ def _robustness_grid(params, sweep):
                                     detuning=optimal_detuning(m_r), bath="thermal")
 
 
-def robustness_sweep(config):
+def _run_robustness(config):
     """Steady phonon number versus fractional Rabi error (three gamma_m curves)."""
     grid, params = _robustness_grid(config.params, config.sweep)
     report = analytics.rates(params)
@@ -619,9 +601,9 @@ SCENARIOS = {
     "cooling-rate-compare": Scenario(
         "fitted Lindblad cooling rate versus the closed form",
         _run_cooling_rate_compare, axes=("rabi_omega0",),
-        sections=("solver", "fit"), positive=("gamma_total",), grid=_cooling_rate_grid),
+        sections=("solver",), positive=("gamma_total",), grid=_cooling_rate_grid),
     "robustness": Scenario(
-        "steady phonon number versus fractional Rabi error", robustness_sweep,
+        "steady phonon number versus fractional Rabi error", _run_robustness,
         axes=("rabi_fraction",), positive=("gamma_total",), grid=_robustness_grid,
         grid_params=("rabi_omega0",)),
     "recycling-check": Scenario("three-, four- and seven-level cooling curves",

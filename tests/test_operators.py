@@ -249,6 +249,24 @@ class TestGenerator:
             tracemalloc.stop()
         assert peak < 10_000_000
 
+    @pytest.mark.parametrize("n_channels, need", [
+        (1, 96 * (3600 ** 2 + 60 * 60 ** 2)),   # a dense jump: its sandwich and _gram
+        (0, 96 * 2 * 60 * 3600)])               # a dense H: kron(G, I) and kron(I, G*)
+    def test_generator_refuses_triplets_beyond_memory(self, monkeypatch, n_channels, need):
+        # d = 60, dense operators, 96 bytes per triplet; sysconf reports 4 MB, so
+        # the outcome does not depend on the host's memory
+        model = random_model(np.random.default_rng(3), fock=20, n_channels=n_channels)
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1024}
+        monkeypatch.setattr(ops.os, "sysconf", pages.__getitem__)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match=f"at dimension 60 needs {need} bytes"):
+                liouvillian(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 class TestExpectation:
     def test_ground_state(self):

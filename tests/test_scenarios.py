@@ -157,17 +157,11 @@ class TestConfigParsing:
             parse_config(text + line + "\n")
 
     @pytest.mark.parametrize("line", [
-        "fit.start_fraction = abc", "fit.end_fraction = abc",
-        "fit.transient_over_gamma = abc", "fit.end_fraction = nan",
-        "fit.start_fraction = inf",
         "sweep.delta_max.start = abc", "sweep.delta_max.stop = abc",
         "sweep.delta_max.values = 0,abc", "sweep.delta_max.values = 0,nan",
         "solver.rel_tol = abc", "solver.abs_tol = abc",
         "params.lambda_coupling = nan", "params.detuning_mhz = abc",
         # in range for the parser, but each once crashed `eitcool run`
-        "fit.start_fraction = -0.2", "fit.start_fraction = 1.5",
-        "fit.end_fraction = 0", "fit.end_fraction = 0.5",
-        "fit.transient_over_gamma = -1",
         "params.gamma_total = 0", "params.rabi_omega0 = 0"])
     def test_malformed_value_fails_validate_naming_key(self, line, tmp_path, capsys):
         key = line.split(" = ")[0]
@@ -176,13 +170,9 @@ class TestConfigParsing:
         if key.startswith("sweep."):
             axis = {} if key.endswith("values") else {
                 k: v for k, v in axis.items() if k != key.rsplit(".", 1)[1]}
-        # fit.* is read only by cooling-rate-compare; Gamma and Omega_0 must be
-        # positive where the closed forms divide by them
-        if key.startswith("fit."):
-            scenario = "cooling-rate-compare"
-        else:
-            scenario = {"params.gamma_total": "rates-vs-mr",
-                        "params.rabi_omega0": "absorption"}.get(key, "nuclear-bath")
+        # Gamma and Omega_0 must be positive where the closed forms divide by them
+        scenario = {"params.gamma_total": "rates-vs-mr",
+                    "params.rabi_omega0": "absorption"}.get(key, "nuclear-bath")
         if scenario != "nuclear-bath":
             axis = {}
         cfg = tmp_path / "bad.cfg"
@@ -500,28 +490,15 @@ class TestCli:
         assert "scenario = absorption" in text
         assert "sha256" in text
 
-    def test_bad_rel_tol_override(self, tmp_path):
+    @pytest.mark.parametrize("flag, value", [("--threads", "2"), ("--rel-tol", "1e-8")])
+    def test_threads_flag_is_gone(self, flag, value, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("scenario = recycling-check\n")
-        assert cli.main(["run", str(cfg), "--rel-tol", "0.5"]) == 2
-
-    @pytest.mark.parametrize("scenario", [
-        name for name, reads in SCENARIOS.items() if "solver" not in reads.sections])
-    def test_rel_tol_override_needs_a_solver_section(self, scenario, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"scenario = {scenario}\n")
-        assert cli.main(["run", str(cfg), "--rel-tol", "1e-8",
-                         "--output-dir", str(tmp_path / "out")]) == 2
-        assert "--rel-tol" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_threads_flag_is_gone(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("scenario = absorption\n")
         with pytest.raises(SystemExit) as exit_info:
-            cli.main(["run", str(cfg), "--threads", "2"])
+            cli.main(["run", str(cfg), flag, value, "--output-dir", str(tmp_path / "out")])
         assert exit_info.value.code == 2
-        assert "--threads" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_write_timeseries_csv(tmp_path):
