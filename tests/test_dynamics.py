@@ -283,13 +283,19 @@ class TestEvolve:
         assert meta["trace_drift"] == np.abs(series.column("trace") - 1.0).max()
         assert meta["trace_drift"] < 1e-12
 
-    @pytest.mark.parametrize("records", [
-        {"n": np.array([1.0, 0.5])},
-        {"trace": np.array([1.0, np.nan]), "n": np.array([np.nan, np.nan])}],
-        ids=["missing", "nan"])
-    def test_records_include_trace(self, records):
+    def test_records_include_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            TimeSeries(times=np.array([0.0, 1.0]), records=records, leakage=np.zeros(2))
+            TimeSeries(times=np.array([0.0, 1.0]),
+                       records={"n": np.array([1.0, 0.5])},
+                       leakage=np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_trace_must_be_finite(self, bad):
+        # NaN compares False against any limit, so the check must not be `> limit`
+        with pytest.raises(ValueError, match="trace"):
+            TimeSeries(times=np.array([0.0, 1.0]),
+                       records={"trace": np.array([1.0, bad]), "n": np.array([bad, bad])},
+                       leakage=np.zeros(2))
 
 
 def coordinate_parity(space, states, signs):

@@ -267,6 +267,20 @@ class TestGenerator:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("n_channels", [0, 1])
+    def test_generator_builds_within_its_memory_bound(self, monkeypatch, n_channels):
+        # d = 6, dense operators: the second count binds, the sandwiches plus
+        # kron(G, I) and kron(I, G*), at 96 bytes per triplet
+        model = random_model(np.random.default_rng(4), fock=2, n_channels=n_channels)
+        d = model.space.dim
+        need = 96 * (n_channels * d ** 4 + 2 * d ** 3)
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need}
+        monkeypatch.setattr(ops.os, "sysconf", pages.__getitem__)
+        assert liouvillian(model).shape == (d * d, d * d)
+        pages["SC_PHYS_PAGES"] = need - 1
+        with pytest.raises(DimensionError, match=f"generator at dimension {d} needs {need} "):
+            liouvillian(model)
+
 
 class TestExpectation:
     def test_ground_state(self):

@@ -180,6 +180,17 @@ class TestConfigParsing:
         assert cli.main(["validate", str(cfg)]) == 2
         assert key in capsys.readouterr().err
 
+    # the fit window is fixed; these keys, at the values of that window, once set it
+    @pytest.mark.parametrize("line", [
+        "fit.start_fraction = 0.2", "fit.end_fraction = 0.008",
+        "fit.transient_over_gamma = 5"])
+    def test_fit_keys_are_unknown(self, line, tmp_path, capsys):
+        key = line.split(" = ")[0]
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text(f"scenario = cooling-rate-compare\n{line}\n")
+        assert cli.main(["validate", str(cfg)]) == 2
+        assert f"line 2: unknown key '{key}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", [
         "sweep.quality_q.start = -1e3", "sweep.quality_q.start = 0",
         "sweep.temperature_mk.start = -5"])
@@ -490,14 +501,27 @@ class TestCli:
         assert "scenario = absorption" in text
         assert "sha256" in text
 
-    @pytest.mark.parametrize("flag, value", [("--threads", "2"), ("--rel-tol", "1e-8")])
-    def test_threads_flag_is_gone(self, flag, value, tmp_path, capsys):
+    def test_threads_flag_is_gone(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("scenario = recycling-check\n")
+        cfg.write_text("scenario = absorption\n")
         with pytest.raises(SystemExit) as exit_info:
-            cli.main(["run", str(cfg), flag, value, "--output-dir", str(tmp_path / "out")])
+            cli.main(["run", str(cfg), "--threads", "2",
+                      "--output-dir", str(tmp_path / "out")])
         assert exit_info.value.code == 2
-        assert flag in capsys.readouterr().err
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # the scenarios that read solver.*, where --rel-tol used to override solver.rel_tol
+    @pytest.mark.parametrize("scenario", [
+        name for name, reads in SCENARIOS.items() if "solver" in reads.sections])
+    def test_rel_tol_flag_is_gone(self, scenario, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"scenario = {scenario}\n")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["run", str(cfg), "--rel-tol", "1e-8",
+                      "--output-dir", str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+        assert "--rel-tol" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

@@ -89,3 +89,18 @@ def test_checker_flags_an_unread_definition():
     assert unread_definitions(sources) == [
         ("a.py", 2, "_DEAD"), ("a.py", 7, "orphan"), ("a.py", 9, "Unused"),
         ("b.py", 2, "value")]
+
+
+@pytest.mark.parametrize("sources", [
+    {"a.py": "target = 1\nprint(target)\n"},
+    {"a.py": "target = 1\n", "b.py": "from . import a\nprint(a.target)\n"},
+    {"a.py": "target = 1\n", "b.py": "from .a import target\nprint(target)\n"},
+    {"__init__.py": "from .a import target\n", "a.py": "target = 1\n"}],
+    ids=["name", "attribute", "from-import", "re-export"])
+def test_checker_counts_each_kind_of_read(sources):
+    assert unread_definitions(sources) == []
+
+
+def test_checker_does_not_count_a_store_as_a_read():
+    sources = {"a.py": "target = 1\ntarget += 1\n"}
+    assert unread_definitions(sources) == [("a.py", 1, "target")]
