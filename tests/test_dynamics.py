@@ -3,13 +3,16 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
+import eitcool.dynamics as dynamics
 import eitcool.operators as ops
 from eitcool.analytics import (analytic_trajectory, bloch_steady_state, rates,
                                thermal_occupation)
@@ -134,7 +137,6 @@ class TestEvolve:
         assert series.meta["ellipse"] == (0.0, 0.0, 0.0)
 
     def test_series_out_of_terms_is_an_error(self, monkeypatch):
-        import eitcool.dynamics as dynamics
         monkeypatch.setattr(dynamics, "SERIES_TERMS", 8)
         model = build_three_level_model(FIG2A, 8)
         with pytest.raises(SolverError, match="did not converge within 8 terms"):
@@ -222,7 +224,10 @@ class TestEvolve:
     def test_meta_reports_generator(self):
         model = damping_model(fock=6)
         rho0 = ops.basis_state(model.space, "g", 1)
+        start = time.perf_counter()
         series = evolve(model, rho0, 1.0, 3)
+        wall = time.perf_counter() - start
+        assert 0.0 < series.meta["propagate_s"] < wall
         # the generator evolve steps: the full one restricted to what rho0 reaches
         L = ops.real_liouvillian(model)[0]
         kept = reachable_coordinates(L, initial_coordinates(rho0))
@@ -296,6 +301,108 @@ class TestEvolve:
             TimeSeries(times=np.array([0.0, 1.0]),
                        records={"trace": np.array([1.0, bad]), "n": np.array([bad, bad])},
                        leakage=np.zeros(2))
+
+
+def reference_advance(propagator, x):
+    """_Chebyshev.advance written plainly: u_k+1 = M @ u_k -+ u_k-1 in new arrays."""
+    M, coef = propagator.M, propagator.coef
+    applied = 0
+    for _ in range(propagator.substeps):
+        tol = min(propagator.abs_tol, propagator.rel_tol * np.abs(x).max())
+        prev, cur = x, 0.5 * (M @ x)
+        out = coef[0] * prev + coef[1] * cur
+        for k in range(2, len(coef)):
+            prev, cur = cur, M @ cur + propagator.sign * prev
+            out = out + coef[k] * cur
+            if k % 4 == 0 and k >= propagator.focus \
+                    and abs(coef[k]) * np.abs(cur).max() < tol \
+                    and abs(coef[k - 1]) * np.abs(prev).max() < tol:
+                break
+        applied += k
+        x = out / propagator.at_zero[k]
+    return x, applied
+
+
+def propagator_and_states(monkeypatch, model, rho0):
+    """evolve's series for `model`, its propagator and the states it advances."""
+    calls = []
+
+    class Recording(dynamics._Chebyshev):
+        def advance(self, x):
+            calls.append((self, x.copy()))
+            return super().advance(x)
+
+    monkeypatch.setattr(dynamics, "_Chebyshev", Recording)
+    series = evolve(model, rho0, 5.0, 3)
+    monkeypatch.undo()
+    return series, calls[0][0], [x for _, x in calls]
+
+
+class TestChebyshevStep:
+    """The fused step of _Chebyshev.advance against the plain recurrence."""
+
+    @pytest.mark.filterwarnings("ignore:pump Rabi frequency")
+    @pytest.mark.parametrize("builder, change, sector, sign", [
+        (build_three_level_model, {}, "even", 1.0),
+        (build_four_level_model, {}, "even", 1.0),
+        (build_seven_level_model, {}, "even", 1.0),
+        (build_three_level_model, dict(nuclear_shift=0.3), "full", 1.0),
+        (None, {}, "even", -1.0)],
+        ids=["n3", "n4", "n7", "nuclear-shift", "pure-damping"])
+    def test_matches_plain_recurrence(self, monkeypatch, builder, change, sector, sign):
+        # bound fixed beforehand: the fused step only reorders the sum of each term
+        if builder is None:
+            model = damping_model()
+            rho0 = ops.basis_state(model.space, "g", 2)
+        else:
+            model = builder(RECYCLING.replace(**change), 8)
+            rho0 = ops.basis_state(model.space, "-1", 1)
+        series, propagator, states = propagator_and_states(monkeypatch, model, rho0)
+        assert series.meta["sector"] == sector and propagator.sign == sign
+        for x in states:
+            before = x.copy()
+            got, applied = propagator.advance(x)
+            want, want_applied = reference_advance(propagator, x)
+            assert applied == want_applied
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            assert np.array_equal(x, before)
+
+    def test_makes_no_sparse_products(self, monkeypatch):
+        model = build_three_level_model(RECYCLING, 8)
+        _, propagator, states = propagator_and_states(
+            monkeypatch, model, ops.basis_state(model.space, "-1", 1))
+        calls = []
+        matmul = sparse.csr_array.__matmul__
+
+        def counting(self, other):
+            calls.append(other)
+            return matmul(self, other)
+
+        monkeypatch.setattr(sparse.csr_array, "__matmul__", counting)
+        assert isinstance(propagator.M, sparse.csr_array)
+        propagator.M @ states[0]
+        assert len(calls) == 1
+        assert propagator.advance(states[0])[1] > 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_csr_kernel_contract(self, index_dtype):
+        # advance calls scipy's private kernel directly; a change to its
+        # signature or meaning must fail here, not move the physics
+        from scipy.sparse._sparsetools import csr_matvec
+        rng = np.random.default_rng(7)
+        A = sparse.random_array((40, 30), density=0.3, format="csr", rng=rng)
+        indptr, indices = A.indptr.astype(index_dtype), A.indices.astype(index_dtype)
+        x = rng.standard_normal(30)
+        y = np.zeros(40)
+        csr_matvec(40, 30, indptr, indices, A.data, x, y)
+        assert np.array_equal(y, A @ x)
+        # integer-valued entries, so that the sum is exact in any order
+        data, x = np.round(8 * A.data), np.round(8 * x)
+        y0 = np.round(8 * rng.standard_normal(40))
+        y = y0.copy()
+        csr_matvec(40, 30, indptr, indices, data, x, y)
+        assert np.array_equal(y, y0 + sparse.csr_array((data, A.indices, A.indptr)) @ x)
 
 
 def coordinate_parity(space, states, signs):
@@ -621,6 +728,7 @@ class TestMonteCarlo:
         assert np.abs(out.mean_n - single.column("n")).max() < 1e-12
         # three equal shifts are one model, solved once
         assert out.meta["nfev_total"] == single.meta["nfev"]
+        assert out.meta["propagate_s_total"] > 0.0
 
     def test_seed_reproducibility(self):
         kwargs = dict(delta_max=0.3, samples=4, seed=42, fock_dim=12,
@@ -683,15 +791,37 @@ def test_evolve_does_not_load_scipy_integrate():
 def test_serial_calls_start_no_blas_threads():
     # a dense d x d product starts numpy's OpenBLAS threads, whose worker then
     # spins for about 0.1 s on a second core; nothing on the model, generator,
-    # evolve or steady-state path may do that, whatever the thread settings
+    # evolve or steady-state path may do that, whatever the thread settings.
+    # Loading OpenBLAS starts its threads with such a spin too, so the timed
+    # region begins only once no thread of the process gains CPU over 50 ms
+    # (waiting at most 2 s)
     script = textwrap.dedent("""
-        import sys, time, warnings
+        import glob, sys, time, warnings
         warnings.simplefilter("ignore")
         from eitcool import operators as ops
         from eitcool.dynamics import evolve, steady_state
         from eitcool.nvmodel import build_four_level_model, build_seven_level_model
         from eitcool.scenarios import load_config
         params = load_config(sys.argv[1]).params
+
+        def thread_ticks():
+            ticks = {}
+            for path in glob.glob("/proc/self/task/*/stat"):
+                try:
+                    with open(path) as stat:
+                        fields = stat.read().rsplit(")", 1)[1].split()
+                except OSError:              # the thread has ended
+                    continue
+                ticks[path] = int(fields[11]) + int(fields[12])    # utime + stime
+            return ticks
+
+        deadline, before = time.perf_counter() + 2.0, thread_ticks()
+        while time.perf_counter() < deadline:
+            time.sleep(0.05)
+            after = thread_ticks()
+            if all(ticks <= before.get(path, 0) for path, ticks in after.items()):
+                break
+            before = after
         cpu, wall = time.process_time(), time.perf_counter()
         model = build_seven_level_model(params, 12)
         evolve(model, ops.basis_state(model.space, "-1", 3), 1.0, 3)
