@@ -24,7 +24,7 @@ from .effective import (EffectiveRates, effective_pump_rates,
                         renormalized_decays, stark_shift)
 from .nvmodel import (DressedStateReport, build_four_level_model,
                       build_seven_level_model, build_three_level_model,
-                      dark_state_vector, default_fock_dim, dressed_states,
+                      dark_state_vector, dressed_states,
                       effective_hamiltonian, lamb_dicke_from_physical,
                       optimal_detuning, polaron_generator,
                       rotating_hamiltonian)
@@ -35,6 +35,6 @@ from .operators import (DensityMatrix, DimensionError, HilbertSpace,
                         liouvillian_matrix, number_operator, product_state,
                         real_liouvillian, transition)
 from .params import ModelParams
-from .csvio import write_spectrum_csv, write_timeseries_csv
+from .csvio import write_spectrum_csv
 from .scenarios import (ConfigError, ScenarioConfig, load_config, run,
                         validate_config)

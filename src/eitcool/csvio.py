@@ -36,16 +36,6 @@ def sha256_of(path) -> str:
     return digest.hexdigest()
 
 
-def write_timeseries_csv(series, path, observable_names=None):
-    """Emit a dynamics TimeSeries as t,<observables...>,trace,leakage."""
-    if observable_names is None:
-        observable_names = [k for k in series.records if k != "trace"]
-    header = ["t"] + list(observable_names) + ["trace", "leakage"]
-    write_csv(path, header, np.column_stack(
-        [series.times, *(series.column(name) for name in observable_names),
-         series.column("trace"), series.leakage]))
-
-
 def write_spectrum_csv(series, path):
     """Emit a SpectrumSeries as omega,re,im (complex) or omega,absorption (real)."""
     values = series.values

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import operators as ops
 from .constants import G_E_DEFAULT, HBAR, MU_B
-from .effective import EffectiveRates, effective_pump_rates
+from .effective import effective_pump_rates
 from .operators import HilbertSpace, LindbladModel, Operator
 from .params import ModelParams
 
@@ -178,11 +178,6 @@ def optimal_detuning(m_ratio) -> float:
     return (m_ratio**2 - 2.0) / 2.0
 
 
-def default_fock_dim(n_initial) -> int:
-    """Truncation heuristic ceil(4 n_init) + 10; the leakage monitor enforces adequacy."""
-    return int(math.ceil(4 * n_initial)) + 10
-
-
 # ---------------------------------------------------------------------------
 # model builders
 
@@ -214,8 +209,7 @@ def build_three_level_model(params: ModelParams, fock_dim) -> LindbladModel:
                          _common_observables(params, space))
 
 
-def build_four_level_model(params: ModelParams, fock_dim,
-                           effective: EffectiveRates | None = None) -> LindbladModel:
+def build_four_level_model(params: ModelParams, fock_dim) -> LindbladModel:
     """Lambda system plus explicit |0> with leak gamma_0 and effective repump.
 
     The pump's dephasing of |0> (effective.gamma_op_0) and its light shift
@@ -224,10 +218,8 @@ def build_four_level_model(params: ModelParams, fock_dim,
     coherences are all that the dephasing and the light shift act on, so
     <n(t)> does not depend on them (tests/test_nvmodel.py checks it to 1e-12).
     """
-    if effective is None:
-        effective = effective_pump_rates(
-            params.rabi_pump, params.pump_detuning,
-            params.Gamma_0, params.Gamma_p1, params.Gamma_m1)
+    effective = effective_pump_rates(params.rabi_pump, params.pump_detuning,
+                                     params.Gamma_0, params.Gamma_p1, params.Gamma_m1)
     space = ops.compose_space(FOUR_LEVELS, fock_dim)
     H = rotating_hamiltonian(params, space)
     channels = _mechanical_channels(params, space)

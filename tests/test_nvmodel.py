@@ -9,8 +9,7 @@ from eitcool.dynamics import evolve
 from eitcool.effective import effective_pump_rates
 from eitcool.nvmodel import (bright_state_vector, build_four_level_model,
                              build_seven_level_model, build_three_level_model,
-                             dark_state_vector, default_fock_dim,
-                             dressed_states, effective_hamiltonian,
+                             dark_state_vector, dressed_states, effective_hamiltonian,
                              lamb_dicke_from_physical, optimal_detuning,
                              polaron_generator, rotating_hamiltonian)
 from eitcool.params import ModelParams
@@ -218,12 +217,6 @@ class TestModelBuilders:
         assert tail.max() < 0.05
         assert tail[-1] == pytest.approx(0.0228, abs=0.002)  # regression number
 
-    def test_builders_accept_explicit_effective_rates(self):
-        from eitcool.effective import EffectiveRates
-        rates = EffectiveRates(0.1, 0.1, 0.0, 0.0)
-        model = build_four_level_model(fig7_params(), 4, effective=rates)
-        assert model.channels[-1][0] == pytest.approx(0.1)
-
 
 def _recycling_n(model):
     rho0 = ops.basis_state(model.space, "-1", 3)
@@ -264,7 +257,7 @@ class TestFreeLevelEnergies:
                                        p.Gamma_0, p.Gamma_p1, p.Gamma_m1)
             assert eff.gamma_op_0 > 1.0
             assert (eff.stark_shift_0 != 0.0) == (pump_detuning != 0.0)
-            model = build_four_level_model(p, 12, effective=eff)
+            model = build_four_level_model(p, 12)
             p_0 = ops.transition(model.space, "0", "0")
             full = ops.LindbladModel(
                 model.space, model.hamiltonian + eff.stark_shift_0 * p_0,
@@ -310,11 +303,6 @@ class TestLambDicke:
             lamb_dicke_from_physical(-1e-14, 1e7, 1e7)
         with pytest.raises(ValueError):
             lamb_dicke_from_physical(1e-14, 0.0, 1e7)
-
-
-def test_default_fock_heuristic():
-    assert default_fock_dim(3) == 22
-    assert default_fock_dim(0.4) == 12
 
 
 def test_bright_dark_orthonormal():

@@ -501,6 +501,28 @@ class TestCli:
         assert "scenario = absorption" in text
         assert "sha256" in text
 
+    def test_solver_failure_exits_3_with_a_failure_manifest(self, tmp_path, capsys):
+        # the start state |-1, 2> sits on the top two levels of a four-level
+        # ladder, so the leakage monitor fails at t = 0
+        text = (CONFIG_DIR / "recycling_check.cfg").read_text()
+        assert "solver.fock_dim = 12\n" in text
+        cfg = tmp_path / "leaky.cfg"
+        cfg.write_text(text.replace("solver.fock_dim = 12\n", "solver.fock_dim = 4\n"))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--output-dir", str(out)]) == 3
+        assert "solver failure" in capsys.readouterr().err
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert lines[:2] == ["scenario = recycling-check", "status = solver-failure"]
+        assert lines[2].startswith("error = ") and "fock_dim" in lines[2]
+
+    def test_output_failure_exits_4(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scenario = absorption\n")
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        assert cli.main(["run", str(cfg), "--output-dir", str(blocker)]) == 4
+        assert "output failure" in capsys.readouterr().err
+
     def test_threads_flag_is_gone(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("scenario = absorption\n")
@@ -523,24 +545,6 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "--rel-tol" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-
-
-def test_write_timeseries_csv(tmp_path):
-    from eitcool.csvio import write_timeseries_csv
-    from eitcool.dynamics import evolve
-    from eitcool.nvmodel import build_three_level_model
-    from eitcool import operators as ops
-
-    model = build_three_level_model(ModelParams(), 10)
-    series = evolve(model, ops.basis_state(model.space, "-1", 1), 2.0, 5,
-                    rel_tol=1e-7)
-    path = tmp_path / "series.csv"
-    write_timeseries_csv(series, path, ["n", "p_dark", "p_A2"])
-    header, rows = read_csv(path)
-    assert header == ["t", "n", "p_dark", "p_A2", "trace", "leakage"]
-    assert rows.shape == (5, 6)
-    assert rows[0, 1] == pytest.approx(1.0)   # starts in |n=1>
-    assert np.abs(rows[:, 4] - 1.0).max() < 1e-6
 
 
 def test_write_spectrum_csv(tmp_path):
