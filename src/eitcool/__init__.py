@@ -3,13 +3,6 @@ nanomechanical cantilever coupled to an NV center by a magnetic field gradient."
 
 __version__ = "0.1.0"
 
-# scipy's OpenBLAS starts a worker thread when it loads, and the worker
-# busy-waits for about 0.1 s before it first sleeps.  scipy.sparse.linalg
-# (dynamics) loads it through scipy.linalg.  Loaded here, before scipy.sparse,
-# that spin ends inside `import eitcool` instead of running on a second core
-# through the caller's first calls.
-import scipy.linalg
-
 from .analytics import (RateReport, SpectrumSeries, absorption_spectrum,
                         analytic_trajectory, bloch_steady_state,
                         correlation_transform_closed_form,
@@ -17,9 +10,6 @@ from .analytics import (RateReport, SpectrumSeries, absorption_spectrum,
                         rate_equation_evolve, rate_in_khz, rates,
                         rates_at_optimum, steady_phonon, steady_phonon_terms,
                         thermal_occupation)
-from .dynamics import (CoolingFit, LeakageError, MonteCarloResult, SolverError,
-                       TimeSeries, evolve, extract_cooling_rate,
-                       monte_carlo_detuning, steady_state)
 from .effective import (EffectiveRates, effective_pump_rates,
                         renormalized_decays, stark_shift)
 from .nvmodel import (DressedStateReport, build_four_level_model,
@@ -38,3 +28,19 @@ from .params import ModelParams
 from .csvio import write_spectrum_csv
 from .scenarios import (ConfigError, ScenarioConfig, load_config, run,
                         validate_config)
+
+# The solver's names resolve on first use (PEP 562): eitcool.dynamics loads
+# scipy, which the closed forms and the config tools do not need.  Any other
+# name, such as the submodule `from eitcool import cli` looks up, loads nothing.
+_SOLVER_NAMES = {"CoolingFit", "LeakageError", "MonteCarloResult", "SolverError",
+                 "TimeSeries", "evolve", "extract_cooling_rate",
+                 "monte_carlo_detuning", "steady_state"}
+
+
+def __getattr__(name):
+    if name not in _SOLVER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .dynamics import (CoolingFit, LeakageError, MonteCarloResult, SolverError,
+                           TimeSeries, evolve, extract_cooling_rate,
+                           monte_carlo_detuning, steady_state)
+    return locals()[name]

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from . import scenarios
-from .dynamics import SolverError
+from .operators import SolverError
 from .scenarios import SCENARIOS, ConfigError
 
 EXIT_OK = 0

@@ -10,13 +10,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.sparse._sparsetools import csr_matvec    # y += A @ x, in place
+# scipy.sparse.linalg loads scipy.linalg and with it scipy's OpenBLAS, which
+# starts a worker thread that busy-waits for about 0.1 s before it first sleeps.
+# Imported here, that spin ends inside `import eitcool.dynamics` instead of
+# running on a second core through the caller's first solve.
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 # scipy.optimize is imported where used: it adds megabytes and tenths of a second
-# to `import eitcool`, which steady states and closed forms do not need
+# to this import, which only the cooling-rate fit needs
 
 from . import operators as ops
 from .nvmodel import LAMBDA_LEVELS, build_three_level_model, parity
-from .operators import DensityMatrix, LindbladModel
+from .operators import DensityMatrix, LeakageError, LindbladModel, SolverError
 from .params import ModelParams
 
 LEAKAGE_LIMIT = 1e-4
@@ -29,14 +33,6 @@ DEGENERACY_COND = 1e12
 # ellipse's edge (at most 452 measured, CHANGES.md)
 SUBSTEP_SIZE = 160.0
 SERIES_TERMS = 512
-
-
-class SolverError(RuntimeError):
-    """Integration failed or produced an untrustworthy state."""
-
-
-class LeakageError(SolverError):
-    """Population reached the top of the Fock ladder; the truncation is inadequate."""
 
 
 @dataclass

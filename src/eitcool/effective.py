@@ -34,8 +34,15 @@ def _lorentzian_factor(rabi_pump, pump_detuning, total_linewidth):
     return rabi_pump**2 / denom
 
 
-def effective_pump_rates(rabi_pump, pump_detuning, Gamma_0, Gamma_p1, Gamma_m1) -> EffectiveRates:
-    """Second-order repump/dephasing rates; warns outside the perturbative regime."""
+def outside_perturbative_regime(rabi_pump, Gamma_0, Gamma_p1, Gamma_m1) -> bool:
+    """Omega_p > Gamma_t / 2: too strong a pump for the second-order rates."""
+    return rabi_pump > (Gamma_0 + Gamma_p1 + Gamma_m1) / 2
+
+
+def effective_pump_rates(rabi_pump, pump_detuning, Gamma_0, Gamma_p1, Gamma_m1,
+                         stacklevel=2) -> EffectiveRates:
+    """Second-order repump/dephasing rates; outside the perturbative regime it
+    warns, naming the line `stacklevel` frames up (2: the caller's)."""
     for name, v in (("rabi_pump", rabi_pump), ("Gamma_0", Gamma_0),
                     ("Gamma_p1", Gamma_p1), ("Gamma_m1", Gamma_m1)):
         if v < 0:
@@ -45,11 +52,11 @@ def effective_pump_rates(rabi_pump, pump_detuning, Gamma_0, Gamma_p1, Gamma_m1) 
         factor = 0.0
     else:
         factor = _lorentzian_factor(rabi_pump, pump_detuning, total)
-        if rabi_pump > total / 2:
+        if outside_perturbative_regime(rabi_pump, Gamma_0, Gamma_p1, Gamma_m1):
             warnings.warn(
                 f"pump Rabi frequency {rabi_pump} is outside the perturbative "
                 f"regime (> half the excited linewidth {total}); the "
-                "second-order rates are informational only", stacklevel=2)
+                "second-order rates are informational only", stacklevel=stacklevel)
     return EffectiveRates(
         gamma_op_p1=Gamma_p1 * factor,
         gamma_op_m1=Gamma_m1 * factor,

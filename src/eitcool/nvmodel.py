@@ -218,8 +218,10 @@ def build_four_level_model(params: ModelParams, fock_dim) -> LindbladModel:
     coherences are all that the dephasing and the light shift act on, so
     <n(t)> does not depend on them (tests/test_nvmodel.py checks it to 1e-12).
     """
+    # a pump outside the perturbative regime warns at the line that called the builder
     effective = effective_pump_rates(params.rabi_pump, params.pump_detuning,
-                                     params.Gamma_0, params.Gamma_p1, params.Gamma_m1)
+                                     params.Gamma_0, params.Gamma_p1, params.Gamma_m1,
+                                     stacklevel=3)
     space = ops.compose_space(FOUR_LEVELS, fock_dim)
     H = rotating_hamiltonian(params, space)
     channels = _mechanical_channels(params, space)

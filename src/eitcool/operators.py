@@ -21,7 +21,8 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
+# scipy.sparse is imported by the four generator functions that use it: the
+# closed forms build dense operators only, and `import eitcool` stays on numpy
 
 # Dense-operator guard: beyond this total dimension the dense d x d operators
 # and states stop being a sensible desk-scale tool.
@@ -34,6 +35,14 @@ BUILD_BYTES_PER_TRIPLET = 96
 
 class DimensionError(ValueError):
     """Operator/state dimensions incompatible with the given space."""
+
+
+class SolverError(RuntimeError):
+    """Integration failed or produced an untrustworthy state."""
+
+
+class LeakageError(SolverError):
+    """Population reached the top of the Fock ladder; the truncation is inadequate."""
 
 
 @dataclass(frozen=True)
@@ -252,7 +261,7 @@ def product_state(space, internal_vector, fock_populations) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 # generator
 
-def liouvillian(model: LindbladModel) -> sparse.csr_array:
+def liouvillian(model: LindbladModel):
     """The Lindblad generator as a CSR superoperator on row-major vec(rho).
 
     With vec(A rho B) = kron(A, B^T) vec(rho) and G = -iH - (1/2) sum gamma C^dag C,
@@ -260,6 +269,7 @@ def liouvillian(model: LindbladModel) -> sparse.csr_array:
     DimensionError when building from the triplets would exceed physical memory,
     counted before each is allocated.
     """
+    from scipy import sparse
     d = model.space.dim
     # nnz(C)^2 triplets in each sandwich, and in _gram one pair per two nonzeros of a row
     per_row = [np.count_nonzero(jump.matrix, axis=1) for _, jump in model.channels]
@@ -304,12 +314,13 @@ def _kron_triplets(a, b):
             np.outer(a[ra, ca], b[rb, cb]).ravel())
 
 
-def hermitian_coordinates(d) -> sparse.csr_array:
+def hermitian_coordinates(d):
     """The unitary T with T vec(rho) = x = (rho_ii, sqrt2 Re rho_ij, sqrt2 Im rho_ij), i < j.
 
     Row-major vec(rho), diagonal coordinates first, then the real and the imaginary
     parts over the pairs; x is real for Hermitian rho and T^dag x = vec(rho).
     """
+    from scipy import sparse
     i, j = np.triu_indices(d, k=1)
     upper, lower = i * d + j, j * d + i
     re_rows = d + np.arange(len(i))
@@ -361,6 +372,7 @@ def even_basis(states, signs):
     e_k + sign[k] e_perm[k] (k < perm[k]).  V holds these columns, in the order of
     their coordinates reps = k, and its entries are exactly 0 and +-1.
     """
+    from scipy import sparse
     d = len(states)
     i, j = np.triu_indices(d, k=1)
     a, b = states[i], states[j]
@@ -388,6 +400,7 @@ def real_liouvillian(model: LindbladModel):
     rounding.  Its first d rows (the diagonal coordinates) sum to zero down each
     column: the trace is conserved.
     """
+    from scipy import sparse
     T = hermitian_coordinates(model.space.dim)
     full = (T @ liouvillian(model) @ T.conj().T).tocsr()
     dropped = float(np.abs(full.data.imag).max(initial=0.0))

@@ -24,14 +24,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as code_version
-from . import analytics, dynamics
+from . import analytics
 from . import operators as ops
 from .constants import TWO_PI
 from .csvio import sha256_of, write_csv, write_spectrum_csv
+from .effective import outside_perturbative_regime
 from .nvmodel import (build_four_level_model, build_seven_level_model,
                       build_three_level_model, dark_state_vector,
                       optimal_detuning)
 from .params import ModelParams
+
+# the simulated runners import `dynamics` where they call it: it loads scipy,
+# which the closed-form runners and the config checks do not need
 
 
 class ConfigError(ValueError):
@@ -363,8 +367,8 @@ def validate_config(path):
     config = load_config(path)
     warnings = []
     p = config.params
-    total = p.Gamma_0 + p.Gamma_p1 + p.Gamma_m1
-    if total > 0 and p.rabi_pump > total / 2:
+    if outside_perturbative_regime(p.rabi_pump, p.Gamma_0, p.Gamma_p1, p.Gamma_m1):
+        total = p.Gamma_0 + p.Gamma_p1 + p.Gamma_m1
         warnings.append(
             f"pump Rabi {p.rabi_pump} is outside the perturbative regime "
             f"(> half the pump-excited linewidth {total}); second-order "
@@ -460,6 +464,7 @@ def _cooling_rate_grid(params, sweep):
 
 
 def _run_cooling_rate_compare(config):
+    from . import dynamics
     grid, _ = _cooling_rate_grid(config.params, config.sweep)
     p = config.params
     solver = config.solver
@@ -507,6 +512,7 @@ def _run_robustness(config):
 
 
 def _run_recycling_check(config):
+    from . import dynamics
     p = config.params
     solver = config.solver
     builders = [("n3", build_three_level_model),
@@ -563,6 +569,7 @@ def _run_recycling_check(config):
 
 
 def _run_nuclear_bath(config):
+    from . import dynamics
     p = config.params
     solver = config.solver
     # default {0, 0.1, 0.5} MHz converted to omega_m units

@@ -3,8 +3,8 @@ import pytest
 
 from eitcool import operators as ops
 from eitcool.dynamics import evolve, extract_cooling_rate
-from eitcool.effective import (effective_pump_rates, renormalized_decays,
-                               stark_shift)
+from eitcool.effective import (effective_pump_rates, outside_perturbative_regime,
+                               renormalized_decays, stark_shift)
 
 GAMMA = 15.0
 
@@ -23,6 +23,15 @@ class TestPumpRates:
         assert rates.gamma_op_p1 == pytest.approx(want, rel=1e-14)
         assert rates.gamma_op_p1 == pytest.approx(0.006492 * GAMMA, rel=1e-3)
         assert rates.gamma_op_0 == pytest.approx(0.9739 * GAMMA, rel=1e-4)
+
+    def test_regime_warning_names_the_callers_line(self):
+        with pytest.warns(UserWarning, match="perturbative regime") as record:
+            effective_pump_rates(GAMMA, 0.0, GAMMA, GAMMA / 150, GAMMA / 150)
+        assert [w.filename for w in record] == [__file__]
+
+    def test_regime_bound_is_half_the_excited_linewidth(self):
+        assert not outside_perturbative_regime(0.5, 0.5, 0.25, 0.25)
+        assert outside_perturbative_regime(0.5 + 1e-12, 0.5, 0.25, 0.25)
 
     def test_zero_pump(self):
         rates = effective_pump_rates(0.0, 3.0, 1.0, 0.2, 0.3)

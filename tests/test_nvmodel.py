@@ -166,6 +166,12 @@ class TestModelBuilders:
         assert len(build_four_level_model(fig7_params(), 4).channels) == 6
         assert len(build_seven_level_model(fig7_params(), 4).channels) == 8
 
+    def test_pump_regime_warning_names_the_callers_line(self):
+        # the builder's own line would hide which build used the strong pump
+        with pytest.warns(UserWarning, match="perturbative regime") as record:
+            build_four_level_model(fig7_params(), 4)
+        assert [w.filename for w in record] == [__file__]
+
     def test_optical_decay_of_excited_state(self):
         # closed two-channel decay: undriven |A2> empties at Gamma
         p = ModelParams(rabi_omega0=0.0, eta=0.0, lambda_coupling=0.0,

@@ -33,7 +33,11 @@ def unused_imports(source):
 def unread_definitions(sources):
     """(module, line, name) of the module-level functions, classes and assigned
     names that no module in `sources` (module name -> source) reads: as a bare
-    name, as an attribute (`ops.name`) or in a `from ... import name`."""
+    name, as an attribute (`ops.name`) or in a `from ... import name`.
+
+    `__getattr__` in `__init__.py` counts as read: the interpreter calls it for
+    an attribute the package lacks (PEP 562).  In any other module it does not.
+    """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = set()
     for tree in trees.values():
@@ -55,7 +59,8 @@ def unread_definitions(sources):
                          if isinstance(t, ast.Name)]
             else:
                 continue
-            unread += [(module, node.lineno, name) for name in named if name not in read]
+            unread += [(module, node.lineno, name) for name in named if name not in read
+                       and (module, name) != ("__init__.py", "__getattr__")]
     return sorted(unread)
 
 
@@ -89,6 +94,13 @@ def test_checker_flags_an_unread_definition():
     assert unread_definitions(sources) == [
         ("a.py", 2, "_DEAD"), ("a.py", 7, "orphan"), ("a.py", 9, "Unused"),
         ("b.py", 2, "value")]
+
+
+def test_checker_counts_only_the_package_attribute_hook_as_read():
+    hook = "def __getattr__(name):\n    raise AttributeError(name)\n"
+    sources = {"__init__.py": hook + "def helper():\n    return 1\n", "a.py": hook}
+    assert unread_definitions(sources) == [
+        ("__init__.py", 3, "helper"), ("a.py", 1, "__getattr__")]
 
 
 @pytest.mark.parametrize("sources", [
