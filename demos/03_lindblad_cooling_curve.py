@@ -23,8 +23,7 @@ pops = np.zeros(fock)
 pops[3] = 1.0
 rho0 = product_state(model.space, dark_state_vector(model.space), pops)
 
-series = evolve(model, rho0, t_final=160.0, sample_count=161,
-                rel_tol=1e-7, abs_tol=1e-10)
+series = evolve(model, rho0, t_final=160.0, sample_count=161, abs_tol=1e-10)
 report = rates(params)
 
 print("t [1/omega_m]   <n> numeric   rate model (from N)")

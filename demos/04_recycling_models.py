@@ -33,7 +33,7 @@ for name, builder in (("3-level", build_three_level_model),
                       ("7-level", build_seven_level_model)):
     model = builder(params, fock)
     rho0 = ops.basis_state(model.space, "-1", 3)
-    series = evolve(model, rho0, t_final, samples, rel_tol=1e-6, abs_tol=1e-9)
+    series = evolve(model, rho0, t_final, samples, abs_tol=1e-9)
     curves[name] = series.column("n")
     times = series.times
     print(f"{name}: dim {model.space.dim}, {len(model.channels)} channels, "

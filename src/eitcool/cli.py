@@ -44,27 +44,22 @@ def main(argv=None) -> int:
         for name in sorted(SCENARIOS):
             print(f"{name:22s} {SCENARIOS[name].description}")
         return EXIT_OK
+    try:
+        config = scenarios.load_config(args.config)
+    except ConfigError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.command == "validate":
-        try:
-            config, warnings = scenarios.validate_config(args.config)
-        except ConfigError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_CONFIG
-        for warning in warnings:
+        for warning in scenarios.config_warnings(config):
             print(f"warning: {warning}")
         print(f"ok: scenario {config.scenario!r} validates clean")
         return EXIT_OK
 
     # run
-    try:
-        config = scenarios.load_config(args.config)
-        if args.output_dir:
-            config.output_dir = Path(args.output_dir)
-        if args.seed is not None:
-            config.seed = args.seed
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    if args.output_dir:
+        config.output_dir = Path(args.output_dir)
+    if args.seed is not None:
+        config.seed = args.seed
     try:
         manifest = scenarios.run(config)
     except SolverError as err:

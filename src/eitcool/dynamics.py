@@ -128,16 +128,15 @@ class _Chebyshev:
 
     A step of `span` is cut into `substeps` equal ones of length h.  The terms
     of the series reach max |exp(h z)| on the ellipse, e^(h(c + a)), and so
-    does its rounding error relative to eps; h keeps that under
-    tol = min(rel_tol, abs_tol).  Each substep stops once k >= hf and the last
-    two terms are below min(abs_tol, rel_tol max |x|), and is divided by the
-    same truncated series at z = 0, a scalar run of the recurrence: the
-    polynomial is then exact on the eigenvalue 0, whose left eigenvector is
-    the trace, so the trace is conserved to rounding.
+    does its rounding error relative to eps; h keeps that under abs_tol.
+    Each substep stops once k >= hf and the last two terms are below abs_tol,
+    and is divided by the same truncated series at z = 0, a scalar run of the
+    recurrence: the polynomial is then exact on the eigenvalue 0, whose left
+    eigenvector is the trace, so the trace is conserved to rounding.
     """
 
-    def __init__(self, L, span, rel_tol, abs_tol):
-        self.rel_tol, self.abs_tol = rel_tol, abs_tol
+    def __init__(self, L, span, abs_tol):
+        self.abs_tol = abs_tol
         # (L +- L^T)/2 are new matrices: abs() sorts a CSR's indices in place,
         # which on L itself would move the rounding of every L @ v
         sym, skew = (L + L.T) * 0.5, (L - L.T) * 0.5
@@ -151,7 +150,7 @@ class _Chebyshev:
         b = max(b, 2 * a / math.sqrt(3))
         f = math.sqrt(b * b - a * a)
         self.ellipse = (c, a, b)
-        growth = max(1.0, math.log(min(rel_tol, abs_tol) / np.finfo(float).eps))
+        growth = max(1.0, math.log(abs_tol / np.finfo(float).eps))
         self.substeps = max(1, math.ceil(span * (a + b) / 2 / SUBSTEP_SIZE),
                             math.ceil(span * (c + a) / growth))
         self.h = h = span / self.substeps
@@ -181,13 +180,12 @@ class _Chebyshev:
         """
         if self.coef is None:
             return x, 0
-        coef, focus = self.coef, self.focus
+        coef, focus, tol = self.coef, self.focus, self.abs_tol
         n = self.M.shape[0]
         indptr, indices, data = self.M.indptr, self.M.indices, self.M.data
         prev, cur, scratch, out = (np.empty(n) for _ in range(4))
         applied = 0
         for _ in range(self.substeps):
-            tol = min(self.abs_tol, self.rel_tol * float(np.abs(x, out=scratch).max()))
             np.copyto(prev, x)
             cur.fill(0.0)
             csr_matvec(n, n, indptr, indices, data, prev, cur)
@@ -213,7 +211,7 @@ class _Chebyshev:
 
 
 def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
-           rel_tol=1e-8, abs_tol=1e-10, checkpoint_every=None) -> TimeSeries:
+           abs_tol=1e-10, checkpoint_every=None) -> TimeSeries:
     """Integration of the master equation by a Chebyshev series of exp(dt L).
 
     The state is carried as the real coordinates x = T vec(rho) of
@@ -232,10 +230,10 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
 
     The samples lie on a uniform grid, so one propagator (`_Chebyshev`) carries
     the state from each sample to the next.  Each of its substeps truncates the
-    series once a term falls below min(abs_tol, rel_tol * max |x|).  The trace
-    (the sum of the diagonal coordinates) and the top-of-ladder population are
-    monitored at every sample: exceeding the leakage threshold or losing the
-    trace is an error, not a warning.
+    series once a term falls below abs_tol.  The trace (the sum of the diagonal
+    coordinates) and the top-of-ladder population are monitored at every
+    sample: exceeding the leakage threshold or losing the trace is an error,
+    not a warning.
 
     meta["hermiticity_max"] is the largest imaginary entry dropped from the
     generator in those coordinates: zero up to rounding when the generator maps
@@ -248,9 +246,8 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
     population and |trace - 1| over the samples.  meta["propagate_s"] is the
     time spent in the propagator, meta["generator_build_s"] in building L.
     """
-    for tol in (rel_tol, abs_tol):
-        if not 0.0 < tol <= 1e-2:
-            raise ValueError(f"tolerances must lie in (0, 1e-2], got {tol}")
+    if not 0.0 < abs_tol <= 1e-2:
+        raise ValueError(f"abs_tol must lie in (0, 1e-2], got {abs_tol}")
     if rho0.space.dim != model.space.dim:
         raise ops.DimensionError("initial state does not match the model space")
     if sample_count < 2:
@@ -292,7 +289,7 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
     leakage = np.empty(len(times))
     min_eig = math.inf
     nfev, propagate_s = 0, 0.0
-    propagator = _Chebyshev(L, float(t_final) / (len(times) - 1), rel_tol, abs_tol)
+    propagator = _Chebyshev(L, float(t_final) / (len(times) - 1), abs_tol)
 
     for k, t in enumerate(times):
         if k > 0:
@@ -318,7 +315,7 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
             rho = (T_dag @ (basis @ y)).reshape(d, d)
             min_eig = min(min_eig, float(np.linalg.eigvalsh(rho)[0]))
 
-    meta = {"rel_tol": rel_tol, "abs_tol": abs_tol, "nfev": nfev,
+    meta = {"abs_tol": abs_tol, "nfev": nfev,
             "steps": propagator.substeps * (len(times) - 1),
             "min_step": propagator.h, "ellipse": propagator.ellipse,
             "max_leakage": float(leakage.max()),
@@ -460,8 +457,7 @@ class MonteCarloResult:
 
 
 def monte_carlo_detuning(base: ModelParams, delta_max, samples, seed, fock_dim,
-                         t_final, sample_count=201,
-                         rel_tol=1e-7, abs_tol=1e-10) -> MonteCarloResult:
+                         t_final, sample_count=201, abs_tol=1e-10) -> MonteCarloResult:
     """Average cooling curves over quasi-static nuclear-bath detunings.
 
     Each realization draws delta = delta_max * u with u ~ uniform[-1, 1)
@@ -485,8 +481,7 @@ def monte_carlo_detuning(base: ModelParams, delta_max, samples, seed, fock_dim,
         params_i = base.replace(nuclear_shift=base.nuclear_shift + deltas[idx])
         model = build_three_level_model(params_i, fock_dim)
         try:
-            return evolve(model, rho0, t_final, sample_count,
-                          rel_tol=rel_tol, abs_tol=abs_tol)
+            return evolve(model, rho0, t_final, sample_count, abs_tol=abs_tol)
         except SolverError as err:
             raise SolverError(f"realization {idx} failed: {err}") from err
 

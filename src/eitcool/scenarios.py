@@ -79,7 +79,7 @@ class AxisSpec:
 
 @dataclass
 class SolverSpec:
-    rel_tol: float = 1e-7
+    rel_tol: float = 1e-7      # no effect: see config_warnings
     abs_tol: float = 1e-10
     fock_dim: int = 12
     t_final: float = 200.0
@@ -334,10 +334,7 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
             where = ", ".join(f"line {line}: field '{key}'" for line, key in sorted(named))
             raise ConfigError(f"{where or path_hint}: {err}") from None
 
-    # `threads` has no effect (every run is serial); it is parsed only because
-    # bench/configs/*.cfg still set it.  Delete this branch, and its warning in
-    # validate_config, once none of them does.
-    if "threads" in entries:
+    if "threads" in entries:        # no effect: see config_warnings
         _integer("threads", pop("threads"), 1)
 
     config = ScenarioConfig(
@@ -363,8 +360,13 @@ def load_config(path) -> ScenarioConfig:
 
 
 def validate_config(path):
-    """Full schema check plus parameter-sanity warnings; no side effects."""
+    """Full schema check plus the warnings of `config_warnings`; no side effects."""
     config = load_config(path)
+    return config, config_warnings(config)
+
+
+def config_warnings(config):
+    """The sanity warnings that `eitcool validate` prints and each manifest lists."""
     warnings = []
     p = config.params
     if outside_perturbative_regime(p.rabi_pump, p.Gamma_0, p.Gamma_p1, p.Gamma_m1):
@@ -375,14 +377,19 @@ def validate_config(path):
             "repump rates are informational only")
     if p.eta > 0.3:
         warnings.append(f"eta = {p.eta} is large for a first-order Lamb-Dicke model")
-    if any(key == "threads" for _, key, _ in _parse_kv_lines(config.raw_text)):
+    # `threads` and `solver.rel_tol` are parsed only because bench/configs/*.cfg
+    # set them: delete each (its parse, field and warning) once none does
+    keys = {key for _, key, _ in _parse_kv_lines(config.raw_text)}
+    if "threads" in keys:
         warnings.append("'threads' has no effect: every run is serial")
+    if "solver.rel_tol" in keys:
+        warnings.append("'solver.rel_tol' has no effect: the series stops on abs_tol")
     # solver.fock_dim is accepted only where a scenario reads it
     if config.solver.fock_dim > 64:
         warnings.append(
             "fock_dim > 64 will be slow: each solve steps a generator on "
             "(levels x fock_dim)^2 density-matrix entries")
-    return config, warnings
+    return warnings
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +406,7 @@ def run(config: ScenarioConfig) -> RunManifest:
     manifest = RunManifest(
         scenario=config.scenario, config_echo=config.raw_text,
         code_version=code_version, wall_time_s=time.perf_counter() - t0,
-        outputs=outputs, solver_stats=stats, warnings=warnings)
+        outputs=outputs, solver_stats=stats, warnings=config_warnings(config) + warnings)
     manifest.write(outdir / "manifest.txt")
     return manifest
 
@@ -476,7 +483,7 @@ def _run_cooling_rate_compare(config):
         fock_pops = np.eye(solver.fock_dim)[min(3, solver.fock_dim - 4)]
         rho0 = ops.product_state(model.space, dark_state_vector(model.space), fock_pops)
         series = dynamics.evolve(model, rho0, solver.t_final, solver.sample_count,
-                                 rel_tol=solver.rel_tol, abs_tol=solver.abs_tol)
+                                 abs_tol=solver.abs_tol)
         decay = dynamics.extract_cooling_rate(series, "n",
                                               transient_time=5.0 / pp.gamma_total)
         analytic = analytics.rates(pp)
@@ -523,7 +530,7 @@ def _run_recycling_check(config):
     def cooling_curve(model):
         rho0 = ops.basis_state(model.space, "-1", min(3, solver.fock_dim - 2))
         return dynamics.evolve(model, rho0, solver.t_final, solver.sample_count,
-                               rel_tol=solver.rel_tol, abs_tol=solver.abs_tol)
+                               abs_tol=solver.abs_tol)
 
     for name, builder in builders:
         series = cooling_curve(builder(p, solver.fock_dim))
@@ -579,8 +586,7 @@ def _run_nuclear_bath(config):
     for dm in deltas:
         result = dynamics.monte_carlo_detuning(
             p, float(dm), config.mc_samples, config.seed, solver.fock_dim,
-            solver.t_final, sample_count=solver.sample_count,
-            rel_tol=solver.rel_tol, abs_tol=solver.abs_tol)
+            solver.t_final, sample_count=solver.sample_count, abs_tol=solver.abs_tol)
         mean_curves.append(result.mean_n)
         summary_rows.append([float(dm), result.n_ss_mean, result.cooling_time])
         nfev += result.meta["nfev_total"]

@@ -135,7 +135,7 @@ def _cooling_fit(gamma, eta, t_final, fock_dim=16):
     pops = np.zeros(fock_dim)
     pops[3] = 1.0
     rho0 = ops.product_state(model.space, dark_state_vector(model.space), pops)
-    series = evolve(model, rho0, t_final, 401, rel_tol=1e-7, abs_tol=1e-11)
+    series = evolve(model, rho0, t_final, 401, abs_tol=1e-11)
     return extract_cooling_rate(series, "n", transient_time=5.0 / gamma)
 
 
@@ -178,7 +178,7 @@ def _fig7_curves(p, fock_dim=12, t_final=250.0, samples=126):
                           ("n7", build_seven_level_model)):
         model = builder(p, fock_dim)
         rho0 = ops.basis_state(model.space, "-1", 3)
-        series = evolve(model, rho0, t_final, samples, rel_tol=1e-6, abs_tol=1e-9)
+        series = evolve(model, rho0, t_final, samples, abs_tol=1e-9)
         curves[name] = series.column("n")
     return curves
 
@@ -267,7 +267,7 @@ def test_acceptance_08_generator_sanity():
 
     model = build_three_level_model(FIG2A.replace(bath="thermal"), 12)
     rho0 = ops.basis_state(model.space, "-1", 2)
-    series = evolve(model, rho0, 30.0, 61, rel_tol=1e-8, abs_tol=1e-11,
+    series = evolve(model, rho0, 30.0, 61, abs_tol=1e-11,
                     checkpoint_every=5)
     herm = series.meta["hermiticity_max"]
     min_eig = series.meta["min_eigenvalue"]

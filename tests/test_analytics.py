@@ -15,7 +15,9 @@ from eitcool.analytics import (RateReport, absorption_spectrum,
                                steady_occupation, steady_phonon,
                                steady_phonon_terms, thermal_occupation)
 from eitcool.constants import TWO_PI
-from eitcool.nvmodel import dark_state_vector, dressed_states
+from eitcool.nvmodel import (LAMBDA_LEVELS, bright_state_vector,
+                             dark_state_vector, dressed_states,
+                             effective_hamiltonian, optimal_detuning)
 from eitcool.params import ModelParams
 
 FIG2A = ModelParams()  # Omega_0 = 8, Delta = 31, Gamma = 15, eta = 0.115
@@ -97,6 +99,85 @@ class TestRates:
     def test_w_consistency(self):
         report = rates(FIG2A)
         assert report.w == report.a_minus - report.a_plus
+
+
+def morigi_rates(eta, omega_g, omega_r, delta, gamma, nu):
+    """Standard EIT cooling (Morigi, Eschner & Keitel, PRL 85, 4458 (2000)): a weak
+    cooling beam of Rabi frequency Omega_g on |g> <-> |e> and a coupling beam Omega_r
+    on |r> <-> |e>, both at detuning Delta, excited linewidth Gamma, trap frequency nu:
+    A_+- = eta^2 Omega_g^2 Gamma nu^2 / (Gamma^2 nu^2 + 4 (Omega_r^2/4 - nu (nu -+ Delta))^2).
+    Returns (A_+, A_-)."""
+    def rate(sign):
+        detune = omega_r**2 / 4 - nu * (nu + sign * delta)
+        return eta**2 * omega_g**2 * gamma * nu**2 / (gamma**2 * nu**2 + 4 * detune**2)
+    return rate(-1), rate(+1)
+
+
+class TestStandardEitReduction:
+    """The scheme reduced to standard EIT cooling, as the abstract claims.
+
+    The mapping: |g> = |D> = (|+1> - |-1>)/sqrt2, |r> = |B> = (|+1> + |-1>)/sqrt2,
+    |e> = |A2>, Gamma = gamma_total and nu = omega_m = 1.  H0 of
+    `effective_hamiltonian` couples |B> to |A2> with element Omega_0/sqrt2, so
+    Omega_r = sqrt2 Omega_0, whose dressed splitting sqrt(Omega_r^2 + Delta^2) is the
+    one of `dressed_states`.  Its V couples |D> to |A2> with element eta Omega_0/sqrt2
+    times the ladder, so Omega_g = sqrt2 Omega_0 on the cooling leg.
+
+    It holds when:
+    - both legs share one detuning (nuclear_shift = 0): |D> is then an exact dark
+      eigenstate of H0, the limit Omega_g << Omega_r in which standard EIT's |g> is dark;
+    - only the cooling leg carries the phonon, to first order in eta (Lamb-Dicke), and
+      the rates are second order in eta, as both sides are;
+    - |A2> decays at Gamma in total: a jump out of |A2> does not feed the coherence
+      |A2><D| that the rates come from, so the split into gamma_+- does not enter.
+    """
+
+    def test_couplings_map_onto_the_standard_legs(self):
+        p = ModelParams(rabi_omega0=5.0, detuning=7.0, eta=0.2)
+        space = ops.compose_space(LAMBDA_LEVELS, 4)
+        H0, V = effective_hamiltonian(p, space)
+        a2 = np.zeros(space.n_internal)
+        a2[space.internal_index("A2")] = 1.0
+
+        def ket(internal, n):
+            return np.kron(internal, np.eye(space.fock_dim)[n])
+
+        dark, bright = dark_state_vector(space), bright_state_vector(space)
+        for n in range(space.fock_dim - 1):
+            assert abs(ket(a2, n) @ H0.matrix @ ket(bright, n)) == pytest.approx(
+                5.0 / math.sqrt(2), rel=1e-15)
+            assert abs(ket(a2, n) @ H0.matrix @ ket(dark, n)) == 0.0
+            assert abs(ket(a2, n) @ V.matrix @ ket(dark, n + 1)) == pytest.approx(
+                0.2 * 5.0 / math.sqrt(2) * math.sqrt(n + 1), rel=1e-15)
+        report = dressed_states(p)
+        omega_r = math.sqrt(2) * 5.0
+        assert report.e_plus - report.e_minus == pytest.approx(
+            math.hypot(omega_r, 7.0), rel=1e-14)
+
+    def test_rates_match_the_standard_form(self):
+        # bound fixed beforehand: both sides are one rational function, so only
+        # rounding may separate them
+        omega0 = np.array([0.5, 2.0, 5.0, 8.0, 12.0])[:, None]
+        delta = np.array([-40.0, -5.0, 0.0, 3.0, 31.0, 40.0])[None, :]
+        for gamma in (0.5, 5.0, 15.0, 30.0):
+            for eta in (0.01, 0.115, 0.3):
+                p = ModelParams(gamma_total=gamma, eta=eta)
+                report = rates(p.replace(rabi_omega0=omega0, detuning=delta))
+                want_plus, want_minus = morigi_rates(
+                    eta, math.sqrt(2) * omega0, math.sqrt(2) * omega0, delta, gamma, 1.0)
+                np.testing.assert_allclose(report.a_plus, want_plus, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(report.a_minus, want_minus, rtol=1e-12, atol=0)
+
+    def test_optimum_is_the_stark_shift_condition(self):
+        # Omega_r^2/4 = nu (nu + Delta): the red sideband sits on the narrow dressed
+        # state, where A_- reaches eta^2 Omega_g^2 / Gamma
+        for m_r in (3.0, 6.0, 8.0, 10.0):
+            p = FIG2A.replace(rabi_omega0=m_r, detuning=optimal_detuning(m_r))
+            report = dressed_states(p)
+            assert report.e_plus == pytest.approx(1.0, rel=1e-12)
+            omega_g = math.sqrt(2) * m_r
+            assert rates(p).a_minus == pytest.approx(
+                p.eta**2 * omega_g**2 / p.gamma_total, rel=1e-12)
 
 
 class TestRatesAtOptimum:

@@ -123,7 +123,7 @@ def test_rates_against_pump_subsystem_dynamics(pump_fraction):
 
     kappa = rates.gamma_op_p1 + rates.gamma_op_m1
     series = evolve(model, ops.basis_state(space, "0", 0),
-                    t_final=5.0 / kappa, sample_count=401, rel_tol=1e-9)
+                    t_final=5.0 / kappa, sample_count=401)
     fit = extract_cooling_rate(series, "survival", start_fraction=0.8,
                                end_fraction=0.02, min_efolds=2.0)
     assert fit.w_fit == pytest.approx(kappa, rel=0.10)

@@ -178,7 +178,7 @@ class TestModelBuilders:
                         gamma_mech=0.0)
         model = build_three_level_model(p, 3)
         rho0 = ops.basis_state(model.space, "A2", 0)
-        series = evolve(model, rho0, 0.5, 41, rel_tol=1e-9)
+        series = evolve(model, rho0, 0.5, 41)
         decay = np.exp(-p.gamma_total * series.times)
         assert np.abs(series.column("p_A2") - decay).max() < 1e-6
 
@@ -186,7 +186,7 @@ class TestModelBuilders:
         p = ModelParams(eta=0.0, lambda_coupling=0.0, gamma_mech=0.05)
         model = build_three_level_model(p, 6)
         rho0 = ops.basis_state(model.space, "-1", 2)
-        series = evolve(model, rho0, 20.0, 41, rel_tol=1e-9)
+        series = evolve(model, rho0, 20.0, 41, abs_tol=1e-9 / model.space.dim)
         want = 2.0 * np.exp(-p.gamma_mech * series.times)
         assert np.abs(series.column("n") - want).max() < 1e-6
 
@@ -199,8 +199,8 @@ class TestModelBuilders:
         m3 = build_three_level_model(p, 10)
         rho4 = ops.basis_state(m4.space, "-1", 1)
         rho3 = ops.basis_state(m3.space, "-1", 1)
-        s4 = evolve(m4, rho4, 8.0, 33, rel_tol=1e-9)
-        s3 = evolve(m3, rho3, 8.0, 33, rel_tol=1e-9)
+        s4 = evolve(m4, rho4, 8.0, 33, abs_tol=1e-9 / m4.space.dim)
+        s3 = evolve(m3, rho3, 8.0, 33, abs_tol=1e-9 / m3.space.dim)
         assert np.abs(s4.column("n") - s3.column("n")).max() < 1e-7
         assert np.abs(s4.column("p_0")).max() < 1e-12
 
@@ -208,7 +208,7 @@ class TestModelBuilders:
         p = fig7_params(rabi_pump=0.0, gamma_mech=0.02)
         model = build_seven_level_model(p, 5)
         rho0 = ops.basis_state(model.space, "0", 2)
-        series = evolve(model, rho0, 10.0, 21, rel_tol=1e-9)
+        series = evolve(model, rho0, 10.0, 21, abs_tol=1e-9 / model.space.dim)
         assert np.abs(series.column("p_0") - 1.0).max() < 1e-9
         want = 2.0 * np.exp(-p.gamma_mech * series.times)
         assert np.abs(series.column("n") - want).max() < 1e-6
@@ -218,7 +218,7 @@ class TestModelBuilders:
         p = fig7_params()
         model = build_four_level_model(p, 10)
         rho0 = ops.basis_state(model.space, "-1", 1)
-        series = evolve(model, rho0, 40.0, 81, rel_tol=1e-7)
+        series = evolve(model, rho0, 40.0, 81)
         tail = series.column("p_0")[40:]
         assert tail.max() < 0.05
         assert tail[-1] == pytest.approx(0.0228, abs=0.002)  # regression number
@@ -226,7 +226,7 @@ class TestModelBuilders:
 
 def _recycling_n(model):
     rho0 = ops.basis_state(model.space, "-1", 3)
-    series = evolve(model, rho0, 20.0, 11, rel_tol=1e-8, abs_tol=1e-11)
+    series = evolve(model, rho0, 20.0, 11, abs_tol=1e-11)
     return series.column("n")
 
 

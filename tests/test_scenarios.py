@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,8 @@ from eitcool import analytics, cli
 from eitcool.constants import TWO_PI
 from eitcool.csvio import sha256_of
 from eitcool.params import ModelParams
-from eitcool.scenarios import (SCENARIOS, ConfigError, load_config,
-                               parse_config, run, validate_config)
+from eitcool.scenarios import (SCENARIOS, ConfigError, config_warnings,
+                               load_config, parse_config, run, validate_config)
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
@@ -127,6 +128,23 @@ class TestConfigParsing:
         config = parse_config("# a comment\n\nscenario = absorption  # trailing\n")
         assert config.scenario == "absorption"
 
+    @pytest.mark.parametrize("scenario, lines, says", [
+        ("absorption", "just words", "line 2: expected 'key = value', got 'just words'"),
+        ("absorption", "params.bath = hot",
+         "<config>: invalid params: bath must be 'zero' or 'thermal', got 'hot'"),
+        ("cooling-rate-compare", "solver.step = 3", "line 2: unknown solver field 'step'"),
+        ("nuclear-bath", "sweep.delta_max = 1", "line 2: sweep keys look like sweep.<axis>."),
+        ("nuclear-bath", "sweep.delta_max.start.mhz = 1", "line 2: sweep keys look like"),
+        ("steady-map", "sweep.quality_q.scale = cubic", "line 2: scale must be lin or log"),
+        ("steady-map", "sweep.quality_q.values = 1e3",
+         "line 2: field 'sweep.quality_q': needs >= 2 values"),
+        ("rates-vs-mr", "sweep.rabi_omega0.scale = log\nsweep.rabi_omega0.start = 0\n"
+         "sweep.rabi_omega0.stop = 10\nsweep.rabi_omega0.points = 3",
+         "line 2: field 'sweep.rabi_omega0': log scale needs positive bounds")])
+    def test_malformed_line_is_named(self, scenario, lines, says):
+        with pytest.raises(ConfigError, match=re.escape(says)):
+            parse_config(f"scenario = {scenario}\n{lines}\n")
+
     @pytest.mark.parametrize("key", ["omega_0", "omega_p1"])
     def test_level_energy_key_rejected(self, key):
         text = ("scenario = recycling-check\n"
@@ -160,6 +178,7 @@ class TestConfigParsing:
         "sweep.delta_max.start = abc", "sweep.delta_max.stop = abc",
         "sweep.delta_max.values = 0,abc", "sweep.delta_max.values = 0,nan",
         "solver.rel_tol = abc", "solver.abs_tol = abc",
+        "solver.rel_tol = 0.5", "solver.abs_tol = 0",
         "params.lambda_coupling = nan", "params.detuning_mhz = abc",
         # in range for the parser, but each once crashed `eitcool run`
         "params.gamma_total = 0", "params.rabi_omega0 = 0"])
@@ -298,6 +317,31 @@ class TestConfigParsing:
         _, warnings = validate_config(cfg)
         assert not any("threads" in w for w in warnings)
 
+    def test_rel_tol_key_is_inert(self, tmp_path):
+        # the series stops on solver.abs_tol alone; rel_tol is still range-checked
+        config = parse_config("scenario = nuclear-bath\nsolver.rel_tol = 1e-3\n")
+        assert config.solver.rel_tol == 1e-3
+        cfg = tmp_path / "rel_tol.cfg"
+        cfg.write_text("scenario = nuclear-bath\nsolver.rel_tol = 1e-3\n")
+        _, warnings = validate_config(cfg)
+        assert any("'solver.rel_tol' has no effect" in w for w in warnings)
+        cfg.write_text("scenario = nuclear-bath\nsolver.abs_tol = 1e-10\n")
+        _, warnings = validate_config(cfg)
+        assert not any("rel_tol" in w for w in warnings)
+
+    @pytest.mark.parametrize("value, warns", [("0.3", False), ("0.35", True)])
+    def test_large_eta_warns(self, value, warns):
+        config = parse_config(f"scenario = absorption\nparams.eta = {value}\n")
+        said = [w for w in config_warnings(config) if "Lamb-Dicke" in w]
+        assert said == ([f"eta = {value} is large for a first-order Lamb-Dicke model"]
+                        if warns else [])
+
+    @pytest.mark.parametrize("fock_dim, warns", [(64, False), (65, True)])
+    def test_large_fock_dim_warns(self, fock_dim, warns):
+        config = parse_config(f"scenario = recycling-check\nsolver.fock_dim = {fock_dim}\n")
+        said = [w for w in config_warnings(config) if w.startswith("fock_dim > 64")]
+        assert len(said) == (1 if warns else 0)
+
 
 class TestShippedConfigs:
     @pytest.mark.parametrize("name", [
@@ -305,8 +349,10 @@ class TestShippedConfigs:
         "cooling_rate_compare.cfg", "robustness.cfg", "recycling_check.cfg",
         "nuclear_bath.cfg"])
     def test_validates_clean(self, name):
-        config, _ = validate_config(CONFIG_DIR / name)
+        config, warnings = validate_config(CONFIG_DIR / name)
         assert config.scenario in name.replace("_", "-")
+        # every key a shipped config sets changes its run
+        assert not any("has no effect" in w for w in warnings)
 
     def test_both_config_directories_are_found(self):
         assert list(CONFIG_DIR.glob("*.cfg")) and list(BENCH_CONFIG_DIR.glob("*.cfg"))
@@ -429,7 +475,7 @@ class TestRunners:
                 "params.Gamma_p1 = 0.1\nparams.Gamma_m1 = 0.1\n"
                 "params.rabi_pump = 15.0\nparams.eta = 0.115\n"
                 "solver.fock_dim = 12\nsolver.t_final = 30.0\n"
-                "solver.sample_count = 31\nsolver.rel_tol = 1e-6\n"
+                "solver.sample_count = 31\n"
                 "recycling.sensitivity = true\n").format(out=tmp_path)
         manifest = run(parse_config(text))
         header, rows = read_csv(tmp_path / "recycling.csv")
@@ -522,6 +568,29 @@ class TestCli:
         blocker.write_text("")
         assert cli.main(["run", str(cfg), "--output-dir", str(blocker)]) == 4
         assert "output failure" in capsys.readouterr().err
+
+    def test_run_on_malformed_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("scenario = absorption\nsweep.probe_detuning.scale = cubic\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--output-dir", str(out)]) == 2
+        assert "error: line 2: scale must be lin or log" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_lists_the_validate_warnings(self, tmp_path, capsys):
+        cfg = tmp_path / "warn.cfg"
+        cfg.write_text("scenario = rates-vs-mr\nthreads = 1\nparams.eta = 0.35\n"
+                       "sweep.rabi_omega0.values = 4,8\n")
+        assert cli.main(["validate", str(cfg)]) == 0
+        printed = [line.removeprefix("warning: ")
+                   for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("warning: ")]
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--output-dir", str(out)]) == 0
+        listed = [line.removeprefix("warning = ")
+                  for line in (out / "manifest.txt").read_text().splitlines()
+                  if line.startswith("warning = ")]
+        assert len(printed) == 2 and listed == printed
 
     def test_threads_flag_is_gone(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
