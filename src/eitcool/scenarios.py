@@ -79,23 +79,19 @@ class AxisSpec:
 
 @dataclass
 class SolverSpec:
-    rel_tol: float = 1e-7      # no effect: see config_warnings
     abs_tol: float = 1e-10
     fock_dim: int = 12
     t_final: float = 200.0
     sample_count: int = 201
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "t_final"):
-            setattr(self, name, _real(f"solver.{name}", getattr(self, name)))
+        self.abs_tol = _tolerance("solver.abs_tol", self.abs_tol)
+        self.t_final = _real("solver.t_final", self.t_final)
         # fock_dim >= 2: a single-level ladder carries no phonon
         _integer("solver.fock_dim", self.fock_dim, 2)
         _integer("solver.sample_count", self.sample_count, 2)
         if not self.t_final > 0:
             raise ConfigError(f"field 'solver.t_final': must be > 0, got {self.t_final}")
-        for tol_name in ("rel_tol", "abs_tol"):
-            if not 0 < getattr(self, tol_name) <= 1e-2:
-                raise ConfigError(f"field 'solver.{tol_name}': must lie in (0, 1e-2]")
 
 
 @dataclass
@@ -107,7 +103,6 @@ class ScenarioConfig:
     seed: int = 42
     output_dir: Path = Path("out")
     mc_samples: int = 200
-    recycling_sensitivity: bool = False
     raw_text: str = ""
 
 
@@ -191,6 +186,25 @@ def _boolean(key, value):
     return value
 
 
+def _tolerance(key, value):
+    """`value` as a float in (0, 1e-2], else a ConfigError naming `key`."""
+    value = _real(key, value)
+    if not 0 < value <= 1e-2:
+        raise ConfigError(f"field {key!r}: must lie in (0, 1e-2]")
+    return value
+
+
+# Keys that change no run, accepted only because bench/configs/*.cfg still set
+# them: key -> (check of its value, why it has no effect).  Each draws a
+# warning; delete an entry once no config sets its key.
+_INERT_KEYS = {
+    "threads": (lambda key, value: _integer(key, value, 1), "every run is serial"),
+    "solver.rel_tol": (_tolerance, "the series stops on abs_tol"),
+    "recycling.sensitivity": (_boolean, "the free level energies are checked "
+                              "on the generator by the test suite"),
+}
+
+
 def _two_keys(*named):
     """"lines a and b: 'key_a' and 'key_b'" for two (line, key) pairs, in line order."""
     (line_a, key_a), (line_b, key_b) = sorted(named)
@@ -231,6 +245,9 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
         if section in _SECTIONS and section not in reads.sections:
             raise ConfigError(f"line {lineno}: scenario {scenario!r} reads no "
                               f"{section}.* keys, got {key!r}")
+    for key, (check, _) in _INERT_KEYS.items():
+        if key in entries:
+            check(key, pop(key))
 
     # the SI anchor of every unit conversion, and so the omega_m field itself
     omega_m_mhz = _real("params.omega_m_mhz", pop("params.omega_m_mhz", 1.0))
@@ -334,16 +351,11 @@ def parse_config(text, path_hint="<config>") -> ScenarioConfig:
             where = ", ".join(f"line {line}: field '{key}'" for line, key in sorted(named))
             raise ConfigError(f"{where or path_hint}: {err}") from None
 
-    if "threads" in entries:        # no effect: see config_warnings
-        _integer("threads", pop("threads"), 1)
-
     config = ScenarioConfig(
         scenario=scenario, params=params, sweep=sweep, solver=solver,
         seed=_integer("seed", pop("seed", 42), 0),
         output_dir=Path(pop("output_dir", "out")),
         mc_samples=_integer("mc.samples", pop("mc.samples", 200), 1),
-        recycling_sensitivity=_boolean("recycling.sensitivity",
-                                       pop("recycling.sensitivity", False)),
         raw_text=text)
     if entries:
         key, (lineno, _) = sorted(entries.items())[0]
@@ -377,13 +389,10 @@ def config_warnings(config):
             "repump rates are informational only")
     if p.eta > 0.3:
         warnings.append(f"eta = {p.eta} is large for a first-order Lamb-Dicke model")
-    # `threads` and `solver.rel_tol` are parsed only because bench/configs/*.cfg
-    # set them: delete each (its parse, field and warning) once none does
     keys = {key for _, key, _ in _parse_kv_lines(config.raw_text)}
-    if "threads" in keys:
-        warnings.append("'threads' has no effect: every run is serial")
-    if "solver.rel_tol" in keys:
-        warnings.append("'solver.rel_tol' has no effect: the series stops on abs_tol")
+    for key, (_, reason) in _INERT_KEYS.items():
+        if key in keys:
+            warnings.append(f"{key!r} has no effect: {reason}")
     # solver.fock_dim is accepted only where a scenario reads it
     if config.solver.fock_dim > 64:
         warnings.append(
@@ -522,18 +531,14 @@ def _run_recycling_check(config):
     from . import dynamics
     p = config.params
     solver = config.solver
-    builders = [("n3", build_three_level_model),
-                ("n4", build_four_level_model),
-                ("n7", build_seven_level_model)]
-    curves, stats, warnings = {}, {}, []
-
-    def cooling_curve(model):
+    curves, stats = {}, {}
+    for name, builder in (("n3", build_three_level_model),
+                          ("n4", build_four_level_model),
+                          ("n7", build_seven_level_model)):
+        model = builder(p, solver.fock_dim)
         rho0 = ops.basis_state(model.space, "-1", min(3, solver.fock_dim - 2))
-        return dynamics.evolve(model, rho0, solver.t_final, solver.sample_count,
-                               abs_tol=solver.abs_tol)
-
-    for name, builder in builders:
-        series = cooling_curve(builder(p, solver.fock_dim))
+        series = dynamics.evolve(model, rho0, solver.t_final, solver.sample_count,
+                                 abs_tol=solver.abs_tol)
         curves[name] = series.column("n")
         stats[f"nfev_{name}"] = series.meta["nfev"]
         stats[f"coordinates_{name}"] = series.meta["coordinates"]
@@ -543,36 +548,7 @@ def _run_recycling_check(config):
     for a, b in (("n3", "n4"), ("n3", "n7"), ("n4", "n7")):
         dev = np.abs(curves[a] - curves[b]) / np.maximum(curves[a], curves[b])
         stats[f"max_rel_dev_{a}_{b}"] = float(dev.max())
-
-    files = ["recycling.csv"]
-    if config.recycling_sensitivity:
-        # The printed master equations leave the energies of the pump pair
-        # |0>, |E_y> and of |1A1> unassigned.  Neither block is coupled
-        # coherently to the rest, only by jumps, which carry populations, so a
-        # common shift of either block must leave <n(t)> where it is.  (A shift
-        # of |0> alone is not free: it is pump_detuning again.)
-        rows, shift = [], 10.0
-        base_final = curves["n7"][-1]
-        base = build_seven_level_model(p, solver.fock_dim)
-        for key, levels in (("omega_0", ("0", "Ey")), ("omega_s", ("1A1",))):
-            for offset in (shift, -shift):
-                H = base.hamiltonian
-                for level in levels:
-                    H = H - offset * ops.transition(base.space, level, level)
-                model = ops.LindbladModel(base.space, H, base.channels,
-                                          base.observables)
-                final = cooling_curve(model).column("n")[-1]
-                rows.append([key, offset, final,
-                             abs(final - base_final) / base_final])
-        write_csv(config.output_dir / "offset_sensitivity.csv",
-                  ["offset_name", "offset_value", "final_n", "rel_change"], rows)
-        files.append("offset_sensitivity.csv")
-        worst = max(r[3] for r in rows)
-        stats["offset_sensitivity_max_rel_change"] = worst
-        if worst > 0.01:
-            warnings.append(
-                f"rotating-frame offsets moved final <n> by {worst:.3%}")
-    return files, stats, warnings
+    return ["recycling.csv"], stats, []
 
 
 def _run_nuclear_bath(config):

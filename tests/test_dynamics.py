@@ -16,8 +16,8 @@ import eitcool.dynamics as dynamics
 import eitcool.operators as ops
 from eitcool.analytics import (analytic_trajectory, bloch_steady_state, rates,
                                thermal_occupation)
-from eitcool.dynamics import (LEAKAGE_LIMIT, LeakageError, SolverError, TimeSeries,
-                              evolve, extract_cooling_rate, monte_carlo_detuning,
+from eitcool.dynamics import (LEAKAGE_LIMIT, CoolingFit, LeakageError, SolverError,
+                              TimeSeries, evolve, extract_cooling_rate, monte_carlo_detuning,
                               reachable_coordinates, steady_state)
 from eitcool.nvmodel import (build_four_level_model, build_seven_level_model,
                              build_three_level_model, parity)
@@ -202,6 +202,15 @@ class TestEvolve:
         with pytest.raises(ValueError, match="t_final"):
             evolve(model, rho0, 0.0, 11)
 
+    def test_sample_count_and_state_space_are_checked(self):
+        model = damping_model(fock=6)
+        with pytest.raises(ValueError, match="need at least two samples"):
+            evolve(model, ops.basis_state(model.space, "g", 0), 1.0, 1)
+        other = ops.basis_state(damping_model(fock=5).space, "g", 0)
+        with pytest.raises(ops.DimensionError,
+                           match="initial state does not match the model space"):
+            evolve(model, other, 1.0, 11)
+
     @pytest.mark.filterwarnings("ignore:pump Rabi frequency")
     @pytest.mark.parametrize("builder, change, checkpoint_every, sector", [
         (build_three_level_model, {}, None, "even"),
@@ -305,6 +314,13 @@ class TestEvolve:
             TimeSeries(times=np.array([0.0, 1.0]),
                        records={"n": np.array([1.0, 0.5])},
                        leakage=np.zeros(2))
+
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0]],
+                             ids=["repeated", "decreasing"])
+    def test_times_must_increase(self, times):
+        with pytest.raises(ValueError, match="times must be strictly increasing"):
+            TimeSeries(times=np.array(times), records={"trace": np.ones(3)},
+                       leakage=np.zeros(3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_trace_must_be_finite(self, bad):
@@ -693,7 +709,42 @@ class TestSteadyState:
             assert np.abs(direct - via_bloch).max() < 1e-8
 
 
+def decay_series(t, n):
+    return TimeSeries(times=t, records={"n": n, "trace": np.ones_like(t)},
+                      leakage=np.zeros_like(t))
+
+
 class TestExtractCoolingRate:
+    def test_negative_rate_is_rejected(self):
+        with pytest.raises(ValueError, match="fitted rate must be >= 0"):
+            CoolingFit(w_fit=-0.1, n_ss_fit=0.5, n0_fit=3.0, fit_window=(0.0, 1.0),
+                       residual_rms=0.0)
+
+    @pytest.mark.parametrize("t, n, kwargs, says", [
+        (np.linspace(0.0, 7.0, 7), 0.5 + 2.5 * np.exp(-np.linspace(0.0, 7.0, 7)), {},
+         "series too short to fit"),
+        (np.linspace(0.0, 80.0, 400), np.full(400, 0.5), {},
+         "series shows no decay toward a tail value"),
+        # the transient cut leaves 5 samples
+        (np.linspace(0.0, 79.8, 400), 0.5 + 2.5 * np.exp(-0.1 * np.linspace(0.0, 79.8, 400)),
+         dict(transient_time=79.0, start_fraction=1.0, end_fraction=0.0),
+         "fit window too small"),
+    ], ids=["too-short", "no-decay", "small-window"])
+    def test_unfittable_series_is_rejected(self, t, n, kwargs, says):
+        with pytest.raises(ValueError, match=says):
+            extract_cooling_rate(decay_series(t, n), "n", **kwargs)
+
+    def test_overflowing_tail_estimate_falls_back_to_the_last_sample(self):
+        # at 1e200 the products of the Aitken estimate overflow to inf - inf;
+        # with NaN as the tail no sample would fall inside the fit window
+        t = np.linspace(0.0, 80.0, 400)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fit = extract_cooling_rate(
+                decay_series(t, 1e200 * (0.5 + 2.5 * np.exp(-0.1 * t))), "n",
+                start_fraction=1.0)
+        assert fit.w_fit == pytest.approx(0.1, rel=1e-9)
+        assert fit.n_ss_fit == pytest.approx(0.5e200, rel=1e-9)
+
     def test_synthetic_exponential(self):
         t = np.linspace(0.0, 80.0, 400)
         n = 0.5 + 2.5 * np.exp(-0.1 * t)
@@ -771,6 +822,11 @@ class TestMonteCarlo:
                                        t_final=150.0, sample_count=41)
             tails.append(out.n_ss_mean)
         assert all(a <= b + 1e-12 for a, b in zip(tails, tails[1:]))
+
+    def test_sample_count_is_checked(self):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            monte_carlo_detuning(FIG2A, 0.1, samples=0, seed=1, fock_dim=12,
+                                 t_final=10.0)
 
     def test_failure_reports_realization(self):
         with pytest.raises(SolverError, match="realization 0 failed"):

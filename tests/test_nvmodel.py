@@ -1,11 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import eitcool.operators as ops
-from eitcool.dynamics import evolve
+from eitcool.dynamics import evolve, reachable_coordinates
 from eitcool.effective import effective_pump_rates
 from eitcool.nvmodel import (bright_state_vector, build_four_level_model,
                              build_seven_level_model, build_three_level_model,
@@ -13,6 +14,9 @@ from eitcool.nvmodel import (bright_state_vector, build_four_level_model,
                              lamb_dicke_from_physical, optimal_detuning,
                              polaron_generator, rotating_hamiltonian)
 from eitcool.params import ModelParams
+from eitcool.scenarios import load_config
+
+RECYCLING_CHECK = Path(__file__).resolve().parent.parent / "configs" / "recycling_check.cfg"
 
 FIG2A = ModelParams()  # Omega_0 = 8, Delta = 31, Gamma = 15, eta = 0.115
 
@@ -249,6 +253,24 @@ def seven_level_reference():
     return p, _recycling_n(build_seven_level_model(p, 12))
 
 
+@pytest.fixture(scope="module")
+def recycling_check_generator():
+    """The seven-level model of configs/recycling_check.cfg at fock_dim 12, with
+    |-1, 3> in the real coordinates, the coordinates it reaches, the real
+    generator on them, and <n> at the end of a short solve."""
+    config = load_config(RECYCLING_CHECK)
+    model = build_seven_level_model(config.params, 12)
+    rho0 = ops.basis_state(model.space, "-1", 3)
+    x0 = (ops.hermitian_coordinates(model.space.dim) @ rho0.matrix.ravel()).real
+    L, _ = ops.real_liouvillian(model)
+    kept = reachable_coordinates(L, x0)
+
+    def final_n(m):
+        return evolve(m, rho0, 10.0, 6, abs_tol=config.solver.abs_tol).column("n")[-1]
+
+    return model, x0, kept, L[kept][:, kept], final_n, final_n(model)
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 class TestFreeLevelEnergies:
     """Energies the master equations leave unassigned, and the pump terms the
@@ -277,6 +299,30 @@ class TestFreeLevelEnergies:
         for offset in (10.0, -10.0):
             n = _recycling_n(_shifted(model, levels, offset))
             assert _max_rel_diff(n, n_ref) < 1e-12
+
+    @pytest.mark.parametrize("offset", [10.0, -10.0])
+    @pytest.mark.parametrize("levels", [("0", "Ey"), ("1A1",)])
+    def test_seven_level_block_offset_is_rounding_in_the_generator(
+            self, recycling_check_generator, levels, offset):
+        """The printed master equations leave the energies of the pump pair
+        |0>, |E_y> and of |1A1> unassigned.  Neither block is coupled
+        coherently to the rest, only by jumps, which carry populations, so a
+        common shift of either block acts only on coherences between it and
+        the rest.  |-1, 3> never reaches those: on the coordinates it does
+        reach, the generator moves by rounding alone, and so does <n(t)>.
+        (A shift of |0> alone is not free: it is pump_detuning again.)"""
+        model, x0, kept, L, final_n, n_ref = recycling_check_generator
+        space = model.space
+        block = [space.index(level, n) for level in levels for n in range(space.fock_dim)]
+        rest = np.setdiff1d(np.arange(space.dim), block)
+        H = model.hamiltonian.matrix
+        assert not H[np.ix_(block, rest)].any() and not H[np.ix_(rest, block)].any()
+        shifted = _shifted(model, levels, offset)
+        L_shifted, _ = ops.real_liouvillian(shifted)
+        assert np.array_equal(reachable_coordinates(L_shifted, x0), kept)
+        moved = abs(L_shifted[kept][:, kept] - L).max()
+        assert moved <= 4 * np.finfo(float).eps * abs(L).max()
+        assert abs(final_n(shifted) - n_ref) <= 1e-12 * abs(n_ref)
 
     def test_shift_of_level_0_alone_is_pump_detuning(self, seven_level_reference):
         # a shift of |0> alone detunes the pump: it is the pump_detuning knob

@@ -9,7 +9,7 @@ from eitcool import analytics, cli
 from eitcool.constants import TWO_PI
 from eitcool.csvio import sha256_of
 from eitcool.params import ModelParams
-from eitcool.scenarios import (SCENARIOS, ConfigError, config_warnings,
+from eitcool.scenarios import (_INERT_KEYS, SCENARIOS, ConfigError, config_warnings,
                                load_config, parse_config, run, validate_config)
 
 REPO = Path(__file__).resolve().parent.parent
@@ -302,9 +302,13 @@ class TestConfigParsing:
         text = f"scenario = recycling-check\nrecycling.sensitivity = {value}\n"
         with pytest.raises(ConfigError, match="recycling.sensitivity"):
             parse_config(text)
-        for word, want in (("true", True), ("False", False)):
+        # a well-formed value parses, sets nothing and draws the inert-key warning
+        for word in ("true", "False"):
             text = f"scenario = recycling-check\nrecycling.sensitivity = {word}\n"
-            assert parse_config(text).recycling_sensitivity is want
+            config = parse_config(text)
+            assert not hasattr(config, "recycling_sensitivity")
+            assert any("'recycling.sensitivity' has no effect" in w
+                       for w in config_warnings(config))
 
     def test_threads_key_is_inert(self, tmp_path):
         config = parse_config("scenario = absorption\nthreads = 2\n")
@@ -320,7 +324,9 @@ class TestConfigParsing:
     def test_rel_tol_key_is_inert(self, tmp_path):
         # the series stops on solver.abs_tol alone; rel_tol is still range-checked
         config = parse_config("scenario = nuclear-bath\nsolver.rel_tol = 1e-3\n")
-        assert config.solver.rel_tol == 1e-3
+        assert not hasattr(config.solver, "rel_tol")
+        assert "'solver.rel_tol' has no effect: the series stops on abs_tol" \
+            in config_warnings(config)
         cfg = tmp_path / "rel_tol.cfg"
         cfg.write_text("scenario = nuclear-bath\nsolver.rel_tol = 1e-3\n")
         _, warnings = validate_config(cfg)
@@ -353,6 +359,16 @@ class TestShippedConfigs:
         assert config.scenario in name.replace("_", "-")
         # every key a shipped config sets changes its run
         assert not any("has no effect" in w for w in warnings)
+        keys = {line.partition("=")[0].strip() for line in config.raw_text.splitlines()}
+        assert not keys & set(_INERT_KEYS)
+
+    @pytest.mark.parametrize("key", sorted(_INERT_KEYS))
+    def test_inert_key_is_still_set_by_a_bench_config(self, key):
+        # an inert key is accepted only for bench/configs: once none sets it,
+        # its entry must go
+        said = [w for path in sorted(BENCH_CONFIG_DIR.glob("*.cfg"))
+                for w in config_warnings(load_config(path))]
+        assert any(w.startswith(f"{key!r} has no effect") for w in said)
 
     def test_both_config_directories_are_found(self):
         assert list(CONFIG_DIR.glob("*.cfg")) and list(BENCH_CONFIG_DIR.glob("*.cfg"))
@@ -475,8 +491,7 @@ class TestRunners:
                 "params.Gamma_p1 = 0.1\nparams.Gamma_m1 = 0.1\n"
                 "params.rabi_pump = 15.0\nparams.eta = 0.115\n"
                 "solver.fock_dim = 12\nsolver.t_final = 30.0\n"
-                "solver.sample_count = 31\n"
-                "recycling.sensitivity = true\n").format(out=tmp_path)
+                "solver.sample_count = 31\n").format(out=tmp_path)
         manifest = run(parse_config(text))
         header, rows = read_csv(tmp_path / "recycling.csv")
         assert header == ["t", "n3", "n4", "n7"]
@@ -488,9 +503,6 @@ class TestRunners:
         assert [stats[f"sector_{name}"] for name in ("n3", "n4", "n7")] == ["even"] * 3
         assert stats["coordinates_n3"] == 36 ** 2 // 2
         assert stats["coordinates_n4"] == 720 and stats["coordinates_n7"] == 996
-        # frame-offset insensitivity: the shipped probe of the default-zero choice
-        _, sens = read_csv(tmp_path / "offset_sensitivity.csv")
-        assert sens[:, 3].max() < 0.01
         # checksums in the manifest match the files on disk
         for name, digest in manifest.outputs.items():
             assert sha256_of(tmp_path / name) == digest
