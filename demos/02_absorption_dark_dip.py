@@ -34,5 +34,5 @@ for name, w in (("carrier (n -> n)", 0.0), ("red sideband (n -> n-1)", 1.0),
     k = int(np.argmin(np.abs(grid - w)))
     print(f"{name:26s} absorption {v[k]:.5f}")
 
-write_csv("absorption_demo.csv", ["omega", "absorption"], zip(grid, v))
+write_csv("absorption_demo.csv", ["omega", "absorption"], np.column_stack([grid, v]))
 print("wrote absorption_demo.csv")

@@ -25,9 +25,7 @@ from .operators import (DensityMatrix, DimensionError, HilbertSpace,
                         liouvillian_matrix, number_operator, product_state,
                         real_liouvillian, transition)
 from .params import ModelParams
-from .csvio import write_spectrum_csv
-from .scenarios import (ConfigError, ScenarioConfig, load_config, run,
-                        validate_config)
+from .scenarios import ConfigError, ScenarioConfig, load_config, run
 
 # The solver's names resolve on first use (PEP 562): eitcool.dynamics loads
 # scipy, which the closed forms and the config tools do not need.  Any other

@@ -64,7 +64,6 @@ def main(argv=None) -> int:
         manifest = scenarios.run(config)
     except SolverError as err:
         print(f"solver failure: {err}", file=sys.stderr)
-        _write_failure_manifest(config, str(err))
         return EXIT_SOLVER
     except OSError as err:
         print(f"output failure: {err}", file=sys.stderr)
@@ -74,20 +73,6 @@ def main(argv=None) -> int:
     print(f"manifest {config.output_dir / 'manifest.txt'} "
           f"({manifest.wall_time_s:.2f} s)")
     return EXIT_OK
-
-
-def _write_failure_manifest(config, message):
-    try:
-        config.output_dir.mkdir(parents=True, exist_ok=True)
-        done = sorted(p.name for p in config.output_dir.glob("*.csv"))
-        with open(config.output_dir / "manifest.txt", "w", newline="\n") as fh:
-            fh.write(f"scenario = {config.scenario}\n")
-            fh.write("status = solver-failure\n")
-            fh.write(f"error = {message}\n")
-            for name in done:
-                fh.write(f"partial {name}\n")
-    except OSError:
-        pass
 
 
 if __name__ == "__main__":

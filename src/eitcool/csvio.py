@@ -11,21 +11,15 @@ BLOCK_ROWS = 1024   # rows per '%'; 4,096 held 1.5 MB more peak memory, no faste
 
 
 def write_csv(path, header, rows):
-    """Write rows (a 2-d float64 array, or rows of numbers and strings) under a
-    header list, one '%' per block of rows: '%.17g' for a float, str() else."""
-    rows = rows if isinstance(rows, np.ndarray) else [list(row) for row in rows]
+    """Write a 2-d float table under a header list, '%.17g' per cell, one '%'
+    per block of rows."""
+    rows = np.asarray(rows, dtype=np.float64)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(rows), BLOCK_ROWS):
             block = rows[start:start + BLOCK_ROWS]
-            if isinstance(block, np.ndarray) and block.dtype == np.float64:
-                form = (",".join(["%.17g"] * block.shape[1]) + "\n") * len(block)
-                cells = block.ravel().tolist()
-            else:
-                form = "".join(",".join("%.17g" if isinstance(v, float) else "%s"
-                                        for v in row) + "\n" for row in block)
-                cells = [v for row in block for v in row]
-            fh.write(form % tuple(cells))
+            form = (",".join(["%.17g"] * block.shape[1]) + "\n") * len(block)
+            fh.write(form % tuple(block.ravel().tolist()))
 
 
 def sha256_of(path) -> str:
@@ -34,13 +28,3 @@ def sha256_of(path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def write_spectrum_csv(series, path):
-    """Emit a SpectrumSeries as omega,re,im (complex) or omega,absorption (real)."""
-    values = series.values
-    if np.iscomplexobj(values):
-        header, columns = ["omega", "re", "im"], [values.real, values.imag]
-    else:
-        header, columns = ["omega", "absorption"], [values]
-    write_csv(path, header, np.column_stack([series.omegas, *columns]))

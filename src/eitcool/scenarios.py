@@ -14,9 +14,9 @@ config and seed.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,7 +27,7 @@ from . import __version__ as code_version
 from . import analytics
 from . import operators as ops
 from .constants import TWO_PI
-from .csvio import sha256_of, write_csv, write_spectrum_csv
+from .csvio import sha256_of, write_csv
 from .effective import outside_perturbative_regime
 from .nvmodel import (build_four_level_model, build_seven_level_model,
                       build_three_level_model, dark_state_vector,
@@ -116,21 +116,19 @@ class RunManifest:
     solver_stats: dict
     warnings: list
 
-    def write(self, path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write(f"scenario = {self.scenario}\n")
-            fh.write(f"code_version = {self.code_version}\n")
-            fh.write(f"wall_time_s = {self.wall_time_s:.3f}\n")
-            for key, val in sorted(self.solver_stats.items()):
-                fh.write(f"stat.{key} = {val}\n")
-            for warning in self.warnings:
-                fh.write(f"warning = {warning}\n")
-            for name, digest in sorted(self.outputs.items()):
-                size = os.path.getsize(os.path.join(os.path.dirname(path), name))
-                fh.write(f"csv {name} sha256 {digest} bytes {size}\n")
-            fh.write("# --- config echo ---\n")
-            for line in self.config_echo.splitlines():
-                fh.write(f"# {line}\n")
+    def lines(self, outdir):
+        """The manifest.txt lines after `scenario =`; `outdir` holds the CSVs."""
+        yield f"code_version = {self.code_version}"
+        yield f"wall_time_s = {self.wall_time_s:.3f}"
+        for key, val in sorted(self.solver_stats.items()):
+            yield f"stat.{key} = {val}"
+        for warning in self.warnings:
+            yield f"warning = {warning}"
+        for name, digest in sorted(self.outputs.items()):
+            yield f"csv {name} sha256 {digest} bytes {(outdir / name).stat().st_size}"
+        yield "# --- config echo ---"
+        for line in self.config_echo.splitlines():
+            yield f"# {line}"
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +369,6 @@ def load_config(path) -> ScenarioConfig:
     return parse_config(text, path_hint=str(path))
 
 
-def validate_config(path):
-    """Full schema check plus the warnings of `config_warnings`; no side effects."""
-    config = load_config(path)
-    return config, config_warnings(config)
-
-
 def config_warnings(config):
     """The sanity warnings that `eitcool validate` prints and each manifest lists."""
     warnings = []
@@ -405,19 +397,36 @@ def config_warnings(config):
 # runners
 
 def run(config: ScenarioConfig) -> RunManifest:
-    """Execute the configured scenario, writing CSVs plus a manifest."""
+    """Execute the configured scenario, writing CSVs plus a manifest.
+
+    On a SolverError the manifest carries the status and the error instead,
+    and the error propagates.  Each runner writes its CSVs after its last
+    solve, so a failed run has written none.
+    """
     t0 = time.perf_counter()
     outdir = config.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    runner = SCENARIOS[config.scenario].runner
-    files, stats, warnings = runner(config)
+    try:
+        files, stats = SCENARIOS[config.scenario].runner(config)
+    except ops.SolverError as err:
+        # an unwritable manifest must not hide the solver failure
+        with contextlib.suppress(OSError):
+            _write_manifest(outdir, config.scenario,
+                            ["status = solver-failure", f"error = {err}"])
+        raise
     outputs = {name: sha256_of(outdir / name) for name in files}
     manifest = RunManifest(
         scenario=config.scenario, config_echo=config.raw_text,
         code_version=code_version, wall_time_s=time.perf_counter() - t0,
-        outputs=outputs, solver_stats=stats, warnings=config_warnings(config) + warnings)
-    manifest.write(outdir / "manifest.txt")
+        outputs=outputs, solver_stats=stats, warnings=config_warnings(config))
+    _write_manifest(outdir, config.scenario, manifest.lines(outdir))
     return manifest
+
+
+def _write_manifest(outdir, scenario, lines):
+    with open(outdir / "manifest.txt", "w", newline="\n") as fh:
+        fh.write(f"scenario = {scenario}\n")
+        fh.writelines(f"{line}\n" for line in lines)
 
 
 def _default_axis(sweep, name, **kwargs):
@@ -438,8 +447,9 @@ def _absorption_grid(params, sweep):
 def _run_absorption(config):
     grid = _absorption_grid(config.params, config.sweep)
     series = analytics.absorption_spectrum(config.params, grid)
-    write_spectrum_csv(series, config.output_dir / "absorption.csv")
-    return ["absorption.csv"], {"points": len(grid)}, []
+    write_csv(config.output_dir / "absorption.csv", ["omega", "absorption"],
+              np.column_stack([series.omegas, series.values]))
+    return ["absorption.csv"], {"points": len(grid)}
 
 
 def _rates_vs_mr_grid(params, sweep):
@@ -454,7 +464,7 @@ def _run_rates_vs_mr(config):
               np.column_stack([grid, report.a_plus, report.a_minus, report.w]))
     write_csv(config.output_dir / "nss_vs_mr.csv", ["m_r", "n_ss"],
               np.column_stack([grid, report.n_ss]))
-    return ["rates_vs_mr.csv", "nss_vs_mr.csv"], {"points": len(grid)}, []
+    return ["rates_vs_mr.csv", "nss_vs_mr.csv"], {"points": len(grid)}
 
 
 def _steady_map_grid(params, sweep):
@@ -471,7 +481,7 @@ def _run_steady_map(config):
                             n_ss, np.log10(n_ss)])
     write_csv(config.output_dir / "steady_map.csv",
               ["quality_q", "temperature_mk", "n_ss", "log10_n_ss"], rows)
-    return ["steady_map.csv"], {"points": len(rows)}, []
+    return ["steady_map.csv"], {"points": len(rows)}
 
 
 def _cooling_rate_grid(params, sweep):
@@ -493,8 +503,11 @@ def _run_cooling_rate_compare(config):
         rho0 = ops.product_state(model.space, dark_state_vector(model.space), fock_pops)
         series = dynamics.evolve(model, rho0, solver.t_final, solver.sample_count,
                                  abs_tol=solver.abs_tol)
-        decay = dynamics.extract_cooling_rate(series, "n",
-                                              transient_time=5.0 / pp.gamma_total)
+        try:
+            decay = dynamics.extract_cooling_rate(series, "n",
+                                                  transient_time=5.0 / pp.gamma_total)
+        except ValueError as err:
+            raise ops.SolverError(f"cooling-rate fit at m_R = {m_r:g} failed: {err}") from err
         analytic = analytics.rates(pp)
         rows.append([float(m_r), decay.w_fit, analytic.w, decay.w_fit / lam,
                      analytic.w / lam, decay.n_ss_fit, decay.residual_rms,
@@ -504,7 +517,7 @@ def _run_cooling_rate_compare(config):
               ["m_r", "w_fit", "w_analytic", "w_fit_over_lambda",
                "w_analytic_over_lambda", "n_ss_fit", "residual_rms",
                "fit_t_start", "fit_t_end"], rows)
-    return ["cooling_rate.csv"], {"points": len(grid), "nfev": nfev}, []
+    return ["cooling_rate.csv"], {"points": len(grid), "nfev": nfev}
 
 
 def _robustness_grid(params, sweep):
@@ -524,7 +537,7 @@ def _run_robustness(config):
     write_csv(config.output_dir / "robustness.csv",
               ["rabi_fraction", "n_ss_gamma_m_0hz", "n_ss_gamma_m_10hz",
                "n_ss_gamma_m_100hz"], np.column_stack([grid, *columns]))
-    return ["robustness.csv"], {"points": len(grid)}, []
+    return ["robustness.csv"], {"points": len(grid)}
 
 
 def _run_recycling_check(config):
@@ -548,7 +561,7 @@ def _run_recycling_check(config):
     for a, b in (("n3", "n4"), ("n3", "n7"), ("n4", "n7")):
         dev = np.abs(curves[a] - curves[b]) / np.maximum(curves[a], curves[b])
         stats[f"max_rel_dev_{a}_{b}"] = float(dev.max())
-    return ["recycling.csv"], stats, []
+    return ["recycling.csv"], stats
 
 
 def _run_nuclear_bath(config):
@@ -573,7 +586,7 @@ def _run_nuclear_bath(config):
               ["delta_max", "n_ss_mean", "cooling_time"], summary_rows)
     stats = {"samples": config.mc_samples, "nfev": nfev,
              "deltas": ",".join(f"{d:g}" for d in deltas)}
-    return ["nuclear_mean_n.csv", "nuclear_summary.csv"], stats, []
+    return ["nuclear_mean_n.csv", "nuclear_summary.csv"], stats
 
 
 SCENARIOS = {

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eitcool.operators as ops
-from eitcool.analytics import (RateReport, absorption_spectrum,
+import eitcool.analytics as analytics
+from eitcool.analytics import (RateReport, SpectrumSeries, absorption_spectrum,
                                analytic_trajectory, bloch_steady_state,
                                bloch_system, correlation_transform_closed_form,
                                correlation_transform_numeric,
@@ -288,25 +290,6 @@ class TestRateEquation:
         assert np.abs(p_final - want).max() < 1e-6
         assert out.mean_n[-1] == pytest.approx(n_th, abs=1e-6)
 
-    def test_stationary_mean_matches_quotient(self):
-        rng = np.random.default_rng(7)
-        for _ in range(12):
-            a_minus = rng.uniform(0.3, 1.5)
-            a_plus = rng.uniform(0.02, 0.25) * a_minus
-            gm = rng.uniform(0.0, 0.1)
-            n_th = rng.uniform(0.0, 1.5)
-            up = a_plus + n_th * gm
-            down = a_minus + (n_th + 1) * gm
-            if up / down > 0.55:
-                continue
-            w = a_minus - a_plus
-            t_end = 50.0 / (w + gm)
-            p0 = np.zeros(81); p0[0] = 1.0
-            out = rate_equation_evolve(a_plus, a_minus, gm, n_th, p0,
-                                       np.linspace(0, t_end, 9), 80)
-            want = (a_plus + n_th * gm) / (w + gm)
-            assert out.mean_n[-1] == pytest.approx(want, abs=1e-8)
-
     def test_mean_matches_moment_solution(self):
         # first moment of the chain obeys the closed linear equation exactly
         a_plus, a_minus, gm, n_th = 0.02, 0.4, 0.01, 1.2
@@ -523,3 +506,48 @@ class TestWholeGrids:
         assert list(got) == [thermal_occupation(TWO_PI * 1e6, t) for t in temperatures]
         with pytest.raises(ValueError, match="temperature"):
             thermal_occupation(TWO_PI * 1e6, np.array([0.01, -0.01]))
+
+
+REPORT = RateReport(a_plus=0.01, a_minus=0.3, w=0.29, n_ss=0.0, thermal_n=0.0)
+HEATING = RateReport(a_plus=0.3, a_minus=0.01, w=-0.29, n_ss=0.0, thermal_n=0.0)
+P0 = np.array([1.0, 0.0])
+
+
+# each argument check of the closed forms, with the error it raises
+@pytest.mark.parametrize("call, says", [
+    (lambda: RateReport(a_plus=-0.1, a_minus=0.3, w=0.4, n_ss=0.0, thermal_n=0.0),
+     "heating/cooling coefficients must be >= 0"),
+    (lambda: SpectrumSeries(omegas=np.zeros((2, 2)), values=np.zeros(2)),
+     "omegas and values must be 1-d and equally long"),
+    (lambda: SpectrumSeries(omegas=[0.0, 1.0, 2.0], values=[0.0, 1.0]),
+     "omegas and values must be 1-d and equally long"),
+    (lambda: SpectrumSeries(omegas=[0.0, 1.0, 1.0], values=[0.0, 1.0, 2.0]),
+     "omegas must be strictly increasing"),
+    (lambda: rates(ModelParams(gamma_total=0.0)), "gamma_total must be > 0"),
+    (lambda: rates_at_optimum(0.0, 15.0, 0.1), "m_ratio must be > 0"),
+    (lambda: analytic_trajectory(REPORT, 0.0, 0.0, [0.0, -1.0]), "t must be >= 0"),
+    (lambda: analytic_trajectory(HEATING, 0.0, 0.0, 1.0),
+     "W + gamma_m must be > 0 for a decaying trajectory"),
+    (lambda: rate_equation_evolve(0.1, 0.5, 0.0, -0.5, P0, [0.0, 1.0], 10),
+     "rates and thermal occupation must be >= 0"),
+    (lambda: rate_equation_evolve(0.1, 0.5, 0.0, 0.0, np.eye(2), [0.0, 1.0], 10),
+     "p0 must be a 1-d distribution over at most n_max + 1 levels"),
+    (lambda: rate_equation_evolve(0.1, 0.5, 0.0, 0.0, np.eye(12)[0], [0.0, 1.0], 10),
+     "p0 must be a 1-d distribution over at most n_max + 1 levels"),
+    (lambda: correlation_transform_numeric(ModelParams(gamma_total=0.0), 1.0),
+     "correlation transform needs Gamma > 0 and Omega_0 > 0"),
+    (lambda: correlation_transform_numeric(FIG2A, 1.0, method="simpson"),
+     "unknown method 'simpson'"),
+])
+def test_argument_check(call, says):
+    with pytest.raises(ValueError, match=f"^{re.escape(says)}$"):
+        call()
+
+
+def test_non_decaying_correlation_is_rejected(monkeypatch):
+    # a generator with no damping: every eigenvalue of the block is 0
+    monkeypatch.setattr(analytics, "bloch_system", lambda params: (np.zeros((8, 8)),
+                                                                   np.zeros(8)))
+    with pytest.raises(ValueError, match=re.escape(
+            "non-decaying correlation (spectral abscissa 0.000e+00 >= 0)")):
+        correlation_transform_numeric(FIG2A, 1.0)

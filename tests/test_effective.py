@@ -3,8 +3,9 @@ import pytest
 
 from eitcool import operators as ops
 from eitcool.dynamics import evolve, extract_cooling_rate
-from eitcool.effective import (effective_pump_rates, outside_perturbative_regime,
-                               renormalized_decays, stark_shift)
+from eitcool.effective import (EffectiveRates, effective_pump_rates,
+                               outside_perturbative_regime, renormalized_decays,
+                               stark_shift)
 
 GAMMA = 15.0
 
@@ -47,6 +48,25 @@ class TestPumpRates:
     def test_degenerate_pump_system(self):
         with pytest.raises(ZeroDivisionError):
             effective_pump_rates(1.0, 0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("position, name", [
+        (0, "rabi_pump"), (2, "Gamma_0"), (3, "Gamma_p1"), (4, "Gamma_m1")])
+    def test_negative_rate_is_named(self, position, name):
+        args = [0.5, 0.0, 1.0, 0.2, 0.3]
+        args[position] = -0.1
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+            effective_pump_rates(*args)
+
+    def test_negative_effective_rate_is_named(self):
+        with pytest.raises(ValueError, match="^gamma_op_m1 must be >= 0$"):
+            EffectiveRates(gamma_op_p1=0.1, gamma_op_m1=-0.1, gamma_op_0=0.1,
+                           stark_shift_0=0.0)
+
+    def test_negative_direct_decay_is_rejected(self):
+        rates = effective_pump_rates(0.0, 0.0, 1.0, 0.2, 0.3)
+        for gamma_p1, gamma_m1 in ((-0.1, 0.5), (0.5, -0.1)):
+            with pytest.raises(ValueError, match="^direct decays must be >= 0$"):
+                renormalized_decays(gamma_p1, gamma_m1, rates)
 
     def test_common_lorentzian_ratio(self):
         rng = np.random.default_rng(3)

@@ -8,9 +8,8 @@ import pytest
 from eitcool import analytics, cli
 from eitcool.constants import TWO_PI
 from eitcool.csvio import sha256_of
-from eitcool.params import ModelParams
 from eitcool.scenarios import (_INERT_KEYS, SCENARIOS, ConfigError, config_warnings,
-                               load_config, parse_config, run, validate_config)
+                               load_config, parse_config, run)
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
@@ -315,10 +314,10 @@ class TestConfigParsing:
         assert not hasattr(config, "threads")
         cfg = tmp_path / "threads.cfg"
         cfg.write_text("scenario = absorption\nthreads = 2\n")
-        _, warnings = validate_config(cfg)
+        warnings = config_warnings(load_config(cfg))
         assert any("'threads' has no effect" in w for w in warnings)
         cfg.write_text("scenario = absorption\n")
-        _, warnings = validate_config(cfg)
+        warnings = config_warnings(load_config(cfg))
         assert not any("threads" in w for w in warnings)
 
     def test_rel_tol_key_is_inert(self, tmp_path):
@@ -329,10 +328,10 @@ class TestConfigParsing:
             in config_warnings(config)
         cfg = tmp_path / "rel_tol.cfg"
         cfg.write_text("scenario = nuclear-bath\nsolver.rel_tol = 1e-3\n")
-        _, warnings = validate_config(cfg)
+        warnings = config_warnings(load_config(cfg))
         assert any("'solver.rel_tol' has no effect" in w for w in warnings)
         cfg.write_text("scenario = nuclear-bath\nsolver.abs_tol = 1e-10\n")
-        _, warnings = validate_config(cfg)
+        warnings = config_warnings(load_config(cfg))
         assert not any("rel_tol" in w for w in warnings)
 
     @pytest.mark.parametrize("value, warns", [("0.3", False), ("0.35", True)])
@@ -355,7 +354,8 @@ class TestShippedConfigs:
         "cooling_rate_compare.cfg", "robustness.cfg", "recycling_check.cfg",
         "nuclear_bath.cfg"])
     def test_validates_clean(self, name):
-        config, warnings = validate_config(CONFIG_DIR / name)
+        config = load_config(CONFIG_DIR / name)
+        warnings = config_warnings(config)
         assert config.scenario in name.replace("_", "-")
         # every key a shipped config sets changes its run
         assert not any("has no effect" in w for w in warnings)
@@ -396,7 +396,7 @@ class TestShippedConfigs:
         assert got == want
 
     def test_recycling_config_warns_about_strong_pump(self):
-        _, warnings = validate_config(CONFIG_DIR / "recycling_check.cfg")
+        warnings = config_warnings(load_config(CONFIG_DIR / "recycling_check.cfg"))
         assert any("perturbative" in w for w in warnings)
 
 
@@ -573,6 +573,53 @@ class TestCli:
         assert lines[:2] == ["scenario = recycling-check", "status = solver-failure"]
         assert lines[2].startswith("error = ") and "fock_dim" in lines[2]
 
+    @staticmethod
+    def leaky_config(tmp_path):
+        # recycling_check.cfg at fock_dim 4: the leakage monitor fails at t = 0
+        cfg = tmp_path / "leaky.cfg"
+        cfg.write_text((CONFIG_DIR / "recycling_check.cfg").read_text()
+                       .replace("solver.fock_dim = 12\n", "solver.fock_dim = 4\n"))
+        return cfg
+
+    def test_failed_run_names_no_csv_of_an_earlier_run(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        good = tmp_path / "good.cfg"
+        good.write_text("scenario = absorption\nsweep.probe_detuning.start = -5\n"
+                        "sweep.probe_detuning.stop = 5\nsweep.probe_detuning.points = 41\n")
+        assert cli.main(["run", str(good), "--output-dir", str(out)]) == 0
+        assert cli.main(["run", str(self.leaky_config(tmp_path)),
+                         "--output-dir", str(out)]) == 3
+        # absorption.csv is the good run's; the failure manifest does not list it
+        assert (out / "absorption.csv").exists()
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert len(lines) == 3 and lines[1] == "status = solver-failure"
+        assert lines[2].startswith("error = ") and "fock_dim" in lines[2]
+
+    def test_unwritable_failure_manifest_still_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "manifest.txt").mkdir(parents=True)
+        assert cli.main(["run", str(self.leaky_config(tmp_path)),
+                         "--output-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: ") and "fock_dim" in err
+        assert (out / "manifest.txt").is_dir()
+
+    def test_failed_cooling_rate_fit_exits_3(self, tmp_path, capsys):
+        # t_final = 30 passes validate, but the decay is too short to fit
+        text = (CONFIG_DIR / "cooling_rate_compare.cfg").read_text()
+        assert "solver.t_final = 1700.0\n" in text
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(text.replace("solver.t_final = 1700.0\n", "solver.t_final = 30.0\n"))
+        assert cli.main(["validate", str(cfg)]) == 0
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--output-dir", str(out)]) == 3
+        assert "solver failure: cooling-rate fit" in capsys.readouterr().err
+        assert (out / "manifest.txt").read_text().splitlines() == [
+            "scenario = cooling-rate-compare", "status = solver-failure",
+            "error = cooling-rate fit at m_R = 6 failed: fit window too small; "
+            "series may not span enough decay"]
+        assert not list(out.glob("*.csv"))
+
     def test_output_failure_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("scenario = absorption\n")
@@ -627,20 +674,3 @@ class TestCli:
         assert "--rel-tol" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-
-def test_write_spectrum_csv(tmp_path):
-    from eitcool.analytics import SpectrumSeries, fluctuation_spectrum
-    from eitcool.csvio import write_spectrum_csv
-
-    omegas = np.linspace(0.5, 2.5, 5)
-    complex_series = SpectrumSeries(
-        omegas=omegas,
-        values=np.array([fluctuation_spectrum(ModelParams(), w) for w in omegas]))
-    write_spectrum_csv(complex_series, tmp_path / "s.csv")
-    header, rows = read_csv(tmp_path / "s.csv")
-    assert header == ["omega", "re", "im"] and rows.shape == (5, 3)
-
-    real_series = SpectrumSeries(omegas=omegas, values=np.abs(omegas))
-    write_spectrum_csv(real_series, tmp_path / "a.csv")
-    header, _ = read_csv(tmp_path / "a.csv")
-    assert header == ["omega", "absorption"]
