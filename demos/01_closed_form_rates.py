@@ -10,8 +10,8 @@ no density matrices are harmed.
 import numpy as np
 
 from eitcool import (ModelParams, dressed_states, fluctuation_spectrum,
-                     rate_in_khz, rates, rates_at_optimum, steady_phonon,
-                     steady_phonon_terms, thermal_occupation)
+                     rate_in_khz, rates, rates_at_optimum, steady_phonon_terms,
+                     thermal_occupation)
 
 params = ModelParams(bath="thermal")  # omega_m/2pi = 1 MHz, Q = 1e5, T = 20 mK
 
@@ -38,11 +38,10 @@ print(f"2 Re S(+omega_m) = {s_red:.6f} (equals A-)")
 print(f"2 Re S(-omega_m) = {s_blue:.6f} (equals A+)")
 
 n_bath = thermal_occupation(params.omega_m, params.temperature)
-n_ss = steady_phonon(params, report)
 terms = steady_phonon_terms(params, report)
 print("\n== steady phonon number (rate model) ==")
 print(f"bath occupation N = {n_bath:.1f} at T = {params.temperature * 1e3:.0f} mK")
-print(f"n_ss = {n_ss:.4f}  (back-action {terms['backaction']:.4f}"
+print(f"n_ss = {report.n_ss:.4f}  (back-action {terms['backaction']:.4f}"
       f" + thermal {terms['thermal']:.4f})")
 
 print("\n== sweep of the drive strength at the per-point optimal detuning ==")

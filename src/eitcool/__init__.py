@@ -8,8 +8,7 @@ from .analytics import (RateReport, SpectrumSeries, absorption_spectrum,
                         correlation_transform_closed_form,
                         correlation_transform_numeric, fluctuation_spectrum,
                         rate_equation_evolve, rate_in_khz, rates,
-                        rates_at_optimum, steady_phonon, steady_phonon_terms,
-                        thermal_occupation)
+                        rates_at_optimum, steady_phonon_terms, thermal_occupation)
 from .effective import (EffectiveRates, effective_pump_rates,
                         renormalized_decays, stark_shift)
 from .nvmodel import (DressedStateReport, build_four_level_model,

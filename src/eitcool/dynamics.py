@@ -176,7 +176,8 @@ class _Chebyshev:
 
         Each term is one pass of the CSR kernel, which adds M u_k into the
         buffer holding u_k-1, and one scaled add into the sum; x is copied
-        once per substep and never written.
+        once per substep and never written.  L and x are finite, and a
+        non-finite term fails the stopping test: the series does not converge.
         """
         if self.coef is None:
             return x, 0
@@ -205,13 +206,11 @@ class _Chebyshev:
                     f"Chebyshev series did not converge within {len(coef)} terms")
             applied += k
             x = np.divide(out, self.at_zero[k], out=out)
-        if not np.isfinite(x).all():
-            raise SolverError("Chebyshev propagation produced a non-finite state")
         return x, applied
 
 
 def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
-           abs_tol=1e-10, checkpoint_every=None) -> TimeSeries:
+           abs_tol=1e-10) -> TimeSeries:
     """Integration of the master equation by a Chebyshev series of exp(dt L).
 
     The state is carried as the real coordinates x = T vec(rho) of
@@ -223,10 +222,9 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
     (rho + Pi rho Pi^dag)/2, which L keeps even.  Then only that part is stepped,
     as z with x = V z on the even basis V of `operators.even_basis`, under the
     rows of L V at V's coordinates (W V^T L V with W = (V^T V)^-1, since L V is
-    even).  Positivity checkpoints need the full state, so `checkpoint_every`
-    steps all of x.  Of either, only the coordinates the initial state reaches
-    (`reachable_coordinates`) are stepped: the others stay exactly 0.0, so this
-    is the same ODE, not a truncation.
+    even).  Otherwise all of x is stepped.  Of either, only the coordinates the
+    initial state reaches (`reachable_coordinates`) are stepped: the others stay
+    exactly 0.0, so this is the same ODE, not a truncation.
 
     The samples lie on a uniform grid, so one propagator (`_Chebyshev`) carries
     the state from each sample to the next.  Each of its substeps truncates the
@@ -255,7 +253,8 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
     if not t_final > 0:
         raise ValueError(f"t_final must be > 0, got {t_final}")
     residual, trace = rho0.hermiticity_residual(), rho0.trace()
-    if residual > 1e-10 or not abs(trace - 1.0) <= TRACE_LIMIT:
+    # written so that NaN fails: a NaN or inf entry makes the residual NaN
+    if not (residual <= 1e-10 and abs(trace - 1.0) <= TRACE_LIMIT):
         raise ValueError("initial state must be Hermitian with unit trace: "
                          f"residual {residual:.3e}, trace {trace}")
 
@@ -264,14 +263,13 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
     L, dropped = ops.real_liouvillian(model)
     build_s = time.perf_counter() - start
     T = ops.hermitian_coordinates(d)
-    T_dag = T.conj().T
 
     times = np.linspace(0.0, float(t_final), int(sample_count))
     # Tr(op rho) = vec(op^T) . vec(rho) = vec(op^T) T^dag x: one real row per observable
-    obs_rows = np.array([(T_dag.T @ op.matrix.T.ravel()).real
+    obs_rows = np.array([(T.conj() @ op.matrix.T.ravel()).real
                          for op in model.observables.values()]).reshape(-1, d * d)
     y = (T @ rho0.matrix.ravel()).real
-    symmetry = None if checkpoint_every else parity(model)
+    symmetry = parity(model)
     if symmetry is None:
         basis = sparse.eye_array(d * d, format="csr")
     else:
@@ -287,7 +285,6 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
     records = {name: np.empty(len(times)) for name in model.observables}
     records["trace"] = np.empty(len(times))
     leakage = np.empty(len(times))
-    min_eig = math.inf
     nfev, propagate_s = 0, 0.0
     propagator = _Chebyshev(L, float(t_final) / (len(times) - 1), abs_tol)
 
@@ -311,9 +308,6 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
         records["trace"][k] = tr
         for name, value in zip(model.observables, obs_rows @ y):
             records[name][k] = value
-        if checkpoint_every and k % checkpoint_every == 0:
-            rho = (T_dag @ (basis @ y)).reshape(d, d)
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(rho)[0]))
 
     meta = {"abs_tol": abs_tol, "nfev": nfev,
             "steps": propagator.substeps * (len(times) - 1),
@@ -325,8 +319,6 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
             "sector": "full" if symmetry is None else "even",
             "coordinates": int(kept.size), "generator_nnz": int(L.nnz),
             "generator_build_s": build_s, "propagate_s": propagate_s}
-    if checkpoint_every:
-        meta["min_eigenvalue"] = min_eig
     return TimeSeries(times=times, records=records, leakage=leakage, meta=meta)
 
 

@@ -191,8 +191,8 @@ class LindbladModel:
         if not self.hamiltonian.is_hermitian(1e-10):
             raise ValueError("Hamiltonian is not Hermitian within 1e-10")
         for rate, jump in self.channels:
-            if rate < 0:
-                raise ValueError(f"negative channel rate {rate}")
+            if not 0.0 <= rate < np.inf:
+                raise ValueError(f"channel rate must be finite and >= 0, got {rate}")
             if jump.space.dim != self.space.dim:
                 raise DimensionError("jump operator on wrong space")
 

@@ -14,8 +14,8 @@ from eitcool.analytics import (RateReport, SpectrumSeries, absorption_spectrum,
                                correlation_transform_numeric,
                                fluctuation_spectrum, rate_equation_evolve,
                                rate_in_khz, rates, rates_at_optimum,
-                               steady_occupation, steady_phonon,
-                               steady_phonon_terms, thermal_occupation)
+                               steady_occupation, steady_phonon_terms,
+                               thermal_occupation)
 from eitcool.constants import TWO_PI
 from eitcool.nvmodel import (LAMBDA_LEVELS, bright_state_vector,
                              dark_state_vector, dressed_states,
@@ -240,23 +240,20 @@ class TestSteadyPhonon:
     def test_thermal_reference_point(self):
         p = FIG2A.replace(bath="thermal")  # Q=1e5, T=20 mK
         report = rates(p)
-        n_ss = steady_phonon(p, report)
-        assert n_ss == pytest.approx(0.05205, abs=2e-4)
+        assert report.n_ss == pytest.approx(0.05205, abs=2e-4)
         terms = steady_phonon_terms(p, report)
         assert terms["thermal"] == pytest.approx(0.0374, abs=3e-4)
 
     def test_zero_mechanical_damping_limit(self):
         p = FIG2A.replace(gamma_mech=0.0)
         report = rates(p)
-        assert steady_phonon(p, report) == pytest.approx(
-            report.a_plus / report.w, rel=1e-12)
+        assert report.n_ss == pytest.approx(report.a_plus / report.w, rel=1e-12)
 
     def test_net_heating_reported(self):
         p = ModelParams(rabi_omega0=3.0, detuning=-10.0, gamma_mech=0.0)
         report = rates(p)  # blue-sideband-resonant: heating wins
         assert report.w < 0
-        with pytest.raises(ValueError, match="net heating"):
-            steady_phonon(p, report)
+        assert report.n_ss == math.inf
 
 
 class TestAnalyticTrajectory:
@@ -280,10 +277,9 @@ class TestAnalyticTrajectory:
 class TestRateEquation:
     def test_thermal_only_bose_einstein(self):
         n_th = 2.0
-        grid = np.linspace(0.0, 400.0, 21)
         p0 = np.zeros(61)
         p0[0] = 1.0
-        out = rate_equation_evolve(0.0, 0.0, 0.05, n_th, p0, grid, 60)
+        out = rate_equation_evolve(0.0, 0.0, 0.05, n_th, p0, 400.0, 21, 60)
         p_final = out.probabilities[-1]
         ratio = n_th / (n_th + 1.0)
         want = (1 - ratio) * ratio ** np.arange(61)
@@ -297,22 +293,38 @@ class TestRateEquation:
         ratio = n_th / (n_th + 1.0)
         p0 = (1 - ratio) * ratio ** np.arange(100)
         p0 /= p0.sum()
-        out = rate_equation_evolve(a_plus, a_minus, gm, n_th, p0, grid, 99)
+        out = rate_equation_evolve(a_plus, a_minus, gm, n_th, p0, 30.0, 31, 99)
+        assert np.array_equal(out.times, grid)
         report = RateReport(a_plus=a_plus, a_minus=a_minus,
                             w=a_minus - a_plus, n_ss=0.0, thermal_n=n_th)
         want = analytic_trajectory(report, gm, n_th, grid)
         assert np.abs(out.mean_n - want).max() < 1e-6
 
+    def test_matches_the_matrix_exponential(self):
+        # bound fixed beforehand: 1e-12 on every probability against scipy's
+        # expm of the dense generator, on the thermal p0 above
+        from scipy.linalg import expm
+        a_plus, a_minus, gm, n_th = 0.02, 0.4, 0.01, 1.2
+        up, down = a_plus + n_th * gm, a_minus + (n_th + 1.0) * gm
+        n = np.arange(100)
+        gen = (np.diag(-(down * n + up * (n + 1))) + np.diag(down * n[1:], 1)
+               + np.diag(up * n[1:], -1))
+        ratio = n_th / (n_th + 1.0)
+        p0 = (1 - ratio) * ratio ** n
+        p0 /= p0.sum()
+        out = rate_equation_evolve(a_plus, a_minus, gm, n_th, p0, 30.0, 31, 99)
+        want = np.array([expm(gen * t) @ p0 for t in out.times])
+        assert np.abs(out.probabilities - want).max() < 1e-12
+        assert out.probabilities.min() >= 0.0
+
     def test_leakage_guard(self):
         p0 = np.zeros(7); p0[0] = 1.0
         with pytest.raises(ValueError, match="leakage"):
-            rate_equation_evolve(0.2, 0.25, 0.0, 0.0, p0,
-                                 np.linspace(0, 200, 5), 6)
+            rate_equation_evolve(0.2, 0.25, 0.0, 0.0, p0, 200.0, 5, 6)
 
     def test_rejects_unnormalized_distribution(self):
         with pytest.raises(ValueError, match="normalized"):
-            rate_equation_evolve(0.1, 0.5, 0.0, 0.0, np.array([0.5, 0.4]),
-                                 np.linspace(0, 1, 3), 10)
+            rate_equation_evolve(0.1, 0.5, 0.0, 0.0, np.array([0.5, 0.4]), 1.0, 3, 10)
 
 
 class TestBlochSteadyState:
@@ -528,11 +540,15 @@ P0 = np.array([1.0, 0.0])
     (lambda: analytic_trajectory(REPORT, 0.0, 0.0, [0.0, -1.0]), "t must be >= 0"),
     (lambda: analytic_trajectory(HEATING, 0.0, 0.0, 1.0),
      "W + gamma_m must be > 0 for a decaying trajectory"),
-    (lambda: rate_equation_evolve(0.1, 0.5, 0.0, -0.5, P0, [0.0, 1.0], 10),
+    (lambda: rate_equation_evolve(0.1, 0.5, 0.0, -0.5, P0, 1.0, 2, 10),
      "rates and thermal occupation must be >= 0"),
-    (lambda: rate_equation_evolve(0.1, 0.5, 0.0, 0.0, np.eye(2), [0.0, 1.0], 10),
+    (lambda: rate_equation_evolve(0.1, 0.5, 0.0, 0.0, P0, 0.0, 2, 10),
+     "need t_final > 0 and at least two samples"),
+    (lambda: rate_equation_evolve(0.1, 0.5, 0.0, 0.0, P0, 1.0, 1, 10),
+     "need t_final > 0 and at least two samples"),
+    (lambda: rate_equation_evolve(0.1, 0.5, 0.0, 0.0, np.eye(2), 1.0, 2, 10),
      "p0 must be a 1-d distribution over at most n_max + 1 levels"),
-    (lambda: rate_equation_evolve(0.1, 0.5, 0.0, 0.0, np.eye(12)[0], [0.0, 1.0], 10),
+    (lambda: rate_equation_evolve(0.1, 0.5, 0.0, 0.0, np.eye(12)[0], 1.0, 2, 10),
      "p0 must be a 1-d distribution over at most n_max + 1 levels"),
     (lambda: correlation_transform_numeric(ModelParams(gamma_total=0.0), 1.0),
      "correlation transform needs Gamma > 0 and Omega_0 > 0"),

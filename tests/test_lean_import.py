@@ -1,6 +1,6 @@
 """Only the solver loads scipy: `eitcool.dynamics` and the simulated scenarios
-that call it.  `import eitcool`, the config tools and the closed-form runs load
-numpy only, which is most of their cold start saved."""
+that call it.  `import eitcool`, the config tools, the closed-form runs and the
+closed-form oracles load numpy only, which is most of their cold start saved."""
 
 import json
 import os
@@ -70,6 +70,15 @@ def test_closed_form_run_loads_no_scipy(name, tmp_path):
         assert cli.main(["run", sys.argv[1], "--output-dir", sys.argv[2]]) == 0
         """, REPO / "configs" / f"{name}.cfg", tmp_path) == []
     assert sorted(tmp_path.glob("*.csv"))
+
+
+def test_closed_form_oracles_load_no_scipy():
+    assert scipy_modules_after("""
+        from eitcool.analytics import correlation_transform_numeric, rate_equation_evolve
+        from eitcool.params import ModelParams
+        rate_equation_evolve(0.02, 0.4, 0.01, 1.2, [1.0], 30.0, 31, 40)
+        correlation_transform_numeric(ModelParams(), 1.0, method="quadrature")
+        """) == []
 
 
 def test_solver_loads_scipy_linalg():

@@ -355,6 +355,8 @@ class TestLambDicke:
             lamb_dicke_from_physical(-1e-14, 1e7, 1e7)
         with pytest.raises(ValueError):
             lamb_dicke_from_physical(1e-14, 0.0, 1e7)
+        with pytest.raises(ValueError, match="^x0_override must be > 0$"):
+            lamb_dicke_from_physical(1e-14, 1e7, 1e7, x0_override=0.0)
 
 
 def test_bright_dark_orthonormal():

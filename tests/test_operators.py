@@ -1,3 +1,5 @@
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -324,13 +326,51 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(space, m).validate()
 
-    def test_model_rejects_negative_rate(self):
+    @pytest.mark.parametrize("rate", [-0.1, math.nan, math.inf])
+    def test_model_rejects_bad_rate(self, rate):
         space = compose_space(LEVELS3, 2)
-        with pytest.raises(ValueError):
-            LindbladModel(space, identity(space) * 0.0,
-                          [(-0.1, annihilation(space))])
+        with pytest.raises(ValueError, match=f"^channel rate must be finite and >= 0, got {rate}$"):
+            LindbladModel(space, identity(space) * 0.0, [(rate, annihilation(space))])
 
     def test_model_rejects_nonhermitian_hamiltonian(self):
         space = compose_space(LEVELS3, 2)
         with pytest.raises(ValueError):
             LindbladModel(space, annihilation(space))
+
+
+SPACE = compose_space(LEVELS3, 2)       # d = 6
+OTHER = compose_space(LEVELS3, 3)       # d = 9
+SKEWED = np.eye(6, dtype=complex) / 6
+SKEWED[0, 1] = 1.0
+
+
+# each argument check of the operator layer, with the error it raises
+@pytest.mark.parametrize("call, error, says", [
+    (lambda: ops.HilbertSpace((), 2), ValueError,
+     "need at least one internal level and fock_dim >= 1"),
+    (lambda: ops.HilbertSpace(("g",), 0), ValueError,
+     "need at least one internal level and fock_dim >= 1"),
+    (lambda: SPACE.index("+1", 2), IndexError, "Fock index 2 outside [0, 2)"),
+    (lambda: ops.Operator(SPACE, np.eye(5)), DimensionError,
+     "matrix shape (5, 5) does not match space dimension 6"),
+    (lambda: identity(SPACE) + identity(OTHER), DimensionError,
+     "operators live on different spaces"),
+    (lambda: DensityMatrix(SPACE, np.eye(5)), DimensionError,
+     "matrix shape (5, 5) does not match space dimension 6"),
+    (lambda: DensityMatrix(SPACE, SKEWED).validate(), ValueError,
+     "state not Hermitian: residual 1.000e+00"),
+    (lambda: LindbladModel(SPACE, identity(SPACE) * 0.0, [(0.1, identity(OTHER))]),
+     DimensionError, "jump operator on wrong space"),
+    (lambda: ops.internal_projector(SPACE, [1.0, 0.0]), DimensionError,
+     "projector vector length does not match internal levels"),
+    (lambda: ops.product_state(SPACE, [1.0, 0.0, 0.0], [1.0]), DimensionError,
+     "Fock population vector length does not match fock_dim"),
+    (lambda: ops.product_state(SPACE, [1.0, 0.0, 0.0], [1.5, -0.5]), ValueError,
+     "negative Fock population"),
+    (lambda: expectation(basis_state(SPACE, "+1", 0), identity(OTHER)), DimensionError,
+     "state and operator dimensions differ"),
+])
+def test_argument_check(call, error, says):
+    with pytest.raises(error, match=f"^{re.escape(says)}$") as caught:
+        call()
+    assert type(caught.value) is error
