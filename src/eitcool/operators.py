@@ -166,14 +166,14 @@ class DensityMatrix:
 
     def validate(self, herm_tol=1e-10, trace_tol=1e-9, eig_floor=-1e-8):
         """Raise ValueError unless Hermitian, unit trace and positive (within floors)."""
-        if self.hermiticity_residual() > herm_tol:
-            raise ValueError(
-                f"state not Hermitian: residual {self.hermiticity_residual():.3e}")
+        residual = self.hermiticity_residual()
+        if not residual <= herm_tol:
+            raise ValueError(f"state not Hermitian: residual {residual:.3e}")
         tr = self.trace()
-        if abs(tr - 1.0) > trace_tol:
+        if not abs(tr - 1.0) <= trace_tol:
             raise ValueError(f"state trace {tr} deviates from 1")
         lo = self.min_eigenvalue()
-        if lo < eig_floor:
+        if not lo >= eig_floor:
             raise ValueError(f"state has eigenvalue {lo:.3e} below floor {eig_floor}")
         return self
 
@@ -190,11 +190,13 @@ class LindbladModel:
     def __post_init__(self):
         if not self.hamiltonian.is_hermitian(1e-10):
             raise ValueError("Hamiltonian is not Hermitian within 1e-10")
-        for rate, jump in self.channels:
+        for k, (rate, jump) in enumerate(self.channels):
             if not 0.0 <= rate < np.inf:
                 raise ValueError(f"channel rate must be finite and >= 0, got {rate}")
             if jump.space.dim != self.space.dim:
                 raise DimensionError("jump operator on wrong space")
+            if not np.isfinite(jump.matrix).all():
+                raise ValueError(f"channel {k} has a non-finite jump operator entry")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eitcool.csvio import BLOCK_ROWS, write_csv
+from eitcool.csvio import BLOCK_ROWS, _round17, write_csv
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -69,3 +69,61 @@ def test_string_cell_is_rejected(tmp_path):
     with pytest.raises(ValueError, match="could not convert string to float"):
         write_csv(tmp_path / "s.csv", ["a", "b"], [[1.0, "x"]])
     assert not (tmp_path / "s.csv").exists()
+
+
+# Edge cases of the numpy kernel: its fallbacks, its range and the '%g' switches.
+
+def around(values, count):
+    """Each positive double and the `count` doubles either side of it."""
+    bits = np.asarray(values, np.float64).view(np.int64)[:, None] + np.arange(-count, count + 1)
+    return bits.view(np.float64).ravel()
+
+
+def signed_table(values):
+    values = np.asarray(values, np.float64)
+    return np.column_stack([values, -values])
+
+
+def test_exact_decimal_ties(tmp_path):
+    # m/4 for odd m has 16 integer digits and a fraction .25 or .75: its
+    # 17-digit rounding is an exact half, which '%.17g' rounds to even
+    m = np.random.default_rng(5).integers(2 * 10**15, 9 * 10**15 // 2, 4000) * 2 + 1
+    m = np.concatenate([[4 * 10**15 + 1, 9 * 10**15 - 1], m])
+    x = m / 4
+    assert (x * 4 == m).all() and (m % 2 == 1).all()
+    assert_same_bytes(tmp_path, ["x", "minus_x"], signed_table(x))
+
+
+def test_powers_of_ten_and_their_neighbours(tmp_path):
+    powers = [float(f"1e{k}") for k in range(-323, 309)]
+    assert_same_bytes(tmp_path, ["x", "minus_x"], signed_table(around(powers, 1)))
+
+
+@pytest.mark.parametrize("switch", [1e-5, 1e-4, 1e16, 1e17])
+def test_either_side_of_a_layout_switch(tmp_path, switch):
+    assert_same_bytes(tmp_path, ["x", "minus_x"], signed_table(around([switch], 64)))
+
+
+@pytest.mark.parametrize("edge", [1e-280, 1e280])
+def test_either_side_of_the_kernel_range(tmp_path, edge):
+    assert_same_bytes(tmp_path, ["x", "minus_x"], signed_table(around([edge], 64)))
+
+
+def test_special_cells_in_the_middle_of_a_block(tmp_path):
+    table = np.random.default_rng(6).standard_normal((BLOCK_ROWS + 3, 4))
+    middle = BLOCK_ROWS // 2
+    table[middle] = [0.0, -0.0, math.nan, math.inf]
+    table[middle + 1, 1:3] = [-math.inf, -math.nan]
+    assert_same_bytes(tmp_path, ["a", "b", "c", "d"], table)
+
+
+def test_ordinary_cells_take_the_kernel():
+    # Python formats only the fallback classes.  An exact tie needs a double
+    # whose decimal expansion has 18 significant digits: a short dyadic
+    # fraction, or, with a full significand, one between about 1e13 and 2**53.
+    # The grid and the random doubles here meet no fallback class.
+    rng = np.random.default_rng(7)
+    cells = np.concatenate([np.linspace(-40, 10, 5001), rng.standard_normal(5000),
+                            10 ** rng.uniform(-200, 12, 5000)])
+    _, _, fallback = _round17(cells[cells != 0])
+    assert not fallback.any()

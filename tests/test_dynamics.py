@@ -188,11 +188,13 @@ class TestEvolve:
             evolve(model, ops.basis_state(model.space, "-1", 1), 5.0, 11)
 
     def test_non_finite_generator_is_an_error(self):
-        # the model checks its rates, not the entries of its jump operators
-        model = damping_model()
-        model.channels[0][1].matrix[0, 1] = math.inf
-        with pytest.raises(SolverError, match="non-finite"), np.errstate(invalid="ignore"):
-            evolve(model, ops.basis_state(model.space, "g", 1), 1.0, 3)
+        # every entry is finite; the generator's products overflow
+        space = ops.compose_space(("g",), 6)
+        model = ops.LindbladModel(space, ops.identity(space) * 0.0,
+                                  [(0.8, ops.annihilation(space) * 1e200)])
+        with pytest.raises(SolverError, match="non-finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            evolve(model, ops.basis_state(space, "g", 1), 1.0, 3)
 
     def test_rabi_oscillation(self):
         omega, delta = 1.3, 0.7

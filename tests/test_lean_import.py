@@ -1,6 +1,7 @@
 """Only the solver loads scipy: `eitcool.dynamics` and the simulated scenarios
 that call it.  `import eitcool`, the config tools, the closed-form runs and the
-closed-form oracles load numpy only, which is most of their cold start saved."""
+closed-form oracles load numpy only, which is most of their cold start saved.
+`import eitcool` loads neither `fractions` nor `decimal`."""
 
 import json
 import os
@@ -22,11 +23,11 @@ SOLVER_NAMES = ["CoolingFit", "LeakageError", "MonteCarloResult", "SolverError",
                 "monte_carlo_detuning", "steady_state"]
 
 
-def scipy_modules_after(code, *args):
-    """The scipy modules loaded once a fresh interpreter has run `code`."""
+def modules_after(code, *args):
+    """The modules loaded once a fresh interpreter has run `code`."""
     script = textwrap.dedent(code) + textwrap.dedent("""
         import json, sys
-        print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+        print(json.dumps(sorted(sys.modules)))
         """)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -35,6 +36,18 @@ def scipy_modules_after(code, *args):
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.splitlines()[-1])
+
+
+def scipy_modules_after(code, *args):
+    """The scipy modules loaded once a fresh interpreter has run `code`."""
+    return [m for m in modules_after(code, *args) if m.startswith("scipy")]
+
+
+def test_import_loads_no_exact_arithmetic():
+    # the CSV writer builds its power-of-ten table from Python ints on first use
+    loaded = modules_after("import eitcool")
+    assert "eitcool.csvio" in loaded
+    assert "fractions" not in loaded and "decimal" not in loaded
 
 
 def test_import_loads_no_scipy():

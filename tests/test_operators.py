@@ -332,6 +332,22 @@ class TestStateValidation:
         with pytest.raises(ValueError, match=f"^channel rate must be finite and >= 0, got {rate}$"):
             LindbladModel(space, identity(space) * 0.0, [(rate, annihilation(space))])
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_model_rejects_non_finite_jump(self, entry):
+        space = compose_space(LEVELS3, 2)
+        jump = annihilation(space)
+        jump.matrix[0, 1] = entry
+        with pytest.raises(ValueError, match="^channel 1 has a non-finite jump operator entry$"):
+            LindbladModel(space, identity(space) * 0.0,
+                          [(0.5, annihilation(space)), (0.5, jump)])
+
+    def test_nan_coherence_is_invalid(self):
+        space = compose_space(("g",), 2)
+        m = np.diag([1.0, 0.0]).astype(complex)
+        m[0, 1] = m[1, 0] = math.nan
+        with pytest.raises(ValueError, match="^state not Hermitian: residual nan$"):
+            DensityMatrix(space, m).validate()
+
     def test_model_rejects_nonhermitian_hamiltonian(self):
         space = compose_space(LEVELS3, 2)
         with pytest.raises(ValueError):
