@@ -17,6 +17,6 @@ for delta_max in (0.0, 0.2, 0.5):
                                fock_dim=14, t_final=150.0, sample_count=61)
     cool = f"{out.cooling_time:.0f}" if out.cooling_time != float("inf") else ">t_final"
     print(f"{delta_max:18.2f}   {out.n_ss_mean:8.4f}   {cool:>12s}"
-          f"   draws: {[round(d, 3) for d in out.deltas]}")
+          f"   draws: {[round(float(d), 3) for d in out.deltas]}")
 print("\n(the tail rises and the cooling time stretches as the spread grows;")
 print(" run the nuclear-bath scenario config for the averaged curves)")

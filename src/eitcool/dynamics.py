@@ -69,13 +69,6 @@ class CoolingFit:
             raise ValueError("fitted rate must be >= 0")
 
 
-def _top_level_population(diag, space):
-    """Population of the top two Fock levels (zero when there is no ladder)."""
-    if space.fock_dim < 3:
-        return 0.0
-    return float(diag.reshape(space.n_internal, space.fock_dim)[:, -2:].sum())
-
-
 def reachable_coordinates(L, x0) -> np.ndarray:
     """Sorted indices of the coordinates reachable from the nonzeros of x0 along
     the sparsity graph of L, where an edge runs from j to i wherever L[i, j] != 0.
@@ -84,9 +77,6 @@ def reachable_coordinates(L, x0) -> np.ndarray:
     coordinate of x0 stays exactly 0.0.
     """
     from scipy.sparse.csgraph import breadth_first_order
-    # a new CSR, so that nothing here touches L's arrays: scipy's abs() and some
-    # products sort an unsorted CSR in place, which would move the rounding of
-    # every later L @ v
     graph = L.T.tocsr()              # row j lists the i with L[i, j] != 0
     reach = np.zeros(L.shape[0], dtype=bool)
     for j in np.flatnonzero(x0):
@@ -137,8 +127,7 @@ class _Chebyshev:
 
     def __init__(self, L, span, abs_tol):
         self.abs_tol = abs_tol
-        # (L +- L^T)/2 are new matrices: abs() sorts a CSR's indices in place,
-        # which on L itself would move the rounding of every L @ v
+        # (L +- L^T)/2 are new matrices, so abs() may sort their indices in place
         sym, skew = (L + L.T) * 0.5, (L - L.T) * 0.5
         diag = sym.diagonal()
         low = float((diag + np.abs(diag) - abs(sym).sum(axis=1)).min(initial=0.0))
@@ -161,8 +150,7 @@ class _Chebyshev:
         coef = 2 * math.exp(h * c) * _bessel_series(h * f, SERIES_TERMS)
         coef[0] /= 2
         self.coef = coef
-        n = L.shape[0]
-        self.M = ((L - c * sparse.eye_array(n, format="csr")) * (2 / f)).tocsr()
+        self.M = ((L - sparse.diags_array(np.full(L.shape[0], c))) * (2 / f)).tocsr()
         # the same series at z = 0, one partial sum per truncation
         scalar = -2 * c / f
         values = np.empty(SERIES_TERMS)
@@ -228,10 +216,10 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
 
     The samples lie on a uniform grid, so one propagator (`_Chebyshev`) carries
     the state from each sample to the next.  Each of its substeps truncates the
-    series once a term falls below abs_tol.  The trace (the sum of the diagonal
-    coordinates) and the top-of-ladder population are monitored at every
-    sample: exceeding the leakage threshold or losing the trace is an error,
-    not a warning.
+    series once a term falls below abs_tol.  One sparse map, carried into the
+    stepped coordinates like L, reads every observable, the trace and the
+    top-of-ladder population at each sample: exceeding the leakage threshold or
+    losing the trace is an error, not a warning.
 
     meta["hermiticity_max"] is the largest imaginary entry dropped from the
     generator in those coordinates: zero up to rounding when the generator maps
@@ -265,26 +253,27 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
     T = ops.hermitian_coordinates(d)
 
     times = np.linspace(0.0, float(t_final), int(sample_count))
-    # Tr(op rho) = vec(op^T) . vec(rho) = vec(op^T) T^dag x: one real row per observable
-    obs_rows = np.array([(T.conj() @ op.matrix.T.ravel()).real
-                         for op in model.observables.values()]).reshape(-1, d * d)
+    # Tr(op rho) = vec(op^T) . vec(rho) = vec(op^T) T^dag x: one real row per
+    # observable, then one for the identity (the trace) and one for the top two
+    # Fock levels (a zero row when there is no ladder above them)
+    top = np.zeros((model.space.n_internal, model.space.fock_dim))
+    if model.space.fock_dim >= 3:
+        top[:, -2:] = 1.0
+    rows = [op.matrix.T.ravel() for op in model.observables.values()]
+    rows += [np.eye(d).ravel(), np.diag(top.ravel()).ravel()]
+    readout = (sparse.csr_array(np.array(rows)) @ T.conj().T).real
     y = (T @ rho0.matrix.ravel()).real
     symmetry = parity(model)
-    if symmetry is None:
-        basis = sparse.eye_array(d * d, format="csr")
-    else:
+    if symmetry is not None:
         basis, reps = ops.even_basis(*symmetry)
         # z = W V^T x: the even part of x0 in V's columns, each of one or two coordinates
         y = (basis.T @ y) / np.bincount(basis.indices, minlength=len(reps))
-        L, obs_rows = L[reps] @ basis, obs_rows @ basis
+        L, readout = L[reps] @ basis, readout @ basis
     kept = reachable_coordinates(L, y)
     if kept.size < L.shape[0]:
-        L, y, obs_rows = L[kept][:, kept], y[kept], obs_rows[:, kept]
-        basis = basis[:, kept]
-    diag_rows = basis[:d]
-    records = {name: np.empty(len(times)) for name in model.observables}
-    records["trace"] = np.empty(len(times))
-    leakage = np.empty(len(times))
+        L, y, readout = L[kept][:, kept], y[kept], readout[:, kept]
+    # a CSR mat-vec sums each row by itself, so no reading depends on the others
+    readings = np.empty((readout.shape[0], len(times)))
     nfev, propagate_s = 0, 0.0
     propagator = _Chebyshev(L, float(t_final) / (len(times) - 1), abs_tol)
 
@@ -294,20 +283,17 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_final, sample_count,
             y, applied = propagator.advance(y)
             propagate_s += time.perf_counter() - tick
             nfev += applied
-        diag = diag_rows @ y
-        tr = float(diag.sum())
+        readings[:, k] = readout @ y
+        tr, leak = readings[-2:, k]
         if abs(tr - 1.0) > TRACE_LIMIT:
             raise SolverError(
                 f"trace drifted to {tr} at t = {t:g}; rescale tolerances")
-        leak = _top_level_population(diag, model.space)
         if leak > LEAKAGE_LIMIT:
             raise LeakageError(
                 f"top-of-ladder population {leak:.3e} at t = {t:g} exceeds "
                 f"{LEAKAGE_LIMIT}; increase fock_dim")
-        leakage[k] = leak
-        records["trace"][k] = tr
-        for name, value in zip(model.observables, obs_rows @ y):
-            records[name][k] = value
+    records = dict(zip([*model.observables, "trace"], readings[:-1]))
+    leakage = readings[-1]
 
     meta = {"abs_tol": abs_tol, "nfev": nfev,
             "steps": propagator.substeps * (len(times) - 1),
@@ -453,7 +439,8 @@ def monte_carlo_detuning(base: ModelParams, delta_max, samples, seed, fock_dim,
     |-1> level by delta, and integrates the three-level model.  Realizations
     with equal shifts are one model, so each distinct shift is integrated once
     (meta["nfev_total"] counts those solves, meta["propagate_s_total"] their
-    seconds in the propagator).  The kept curve is the pointwise
+    seconds in the propagator, meta["max_leakage"] their largest top-of-ladder
+    population).  The kept curve is the pointwise
     mean of <n>(t); n_ss_mean is the mean tail value.
     """
     if samples < 1:
@@ -489,6 +476,7 @@ def monte_carlo_detuning(base: ModelParams, delta_max, samples, seed, fock_dim,
             "fock_dim": fock_dim, "distribution": "uniform[-delta_max, delta_max]",
             "shift_target": "-1 level, static per realization",
             "nfev_total": int(sum(s.meta["nfev"] for s in solved.values())),
+            "max_leakage": max(s.meta["max_leakage"] for s in solved.values()),
             "propagate_s_total": sum(s.meta["propagate_s"] for s in solved.values())}
     return MonteCarloResult(times=times, mean_n=mean_n, n_ss_mean=n_ss_mean,
                             cooling_time=cooling_time, deltas=deltas, meta=meta)

@@ -410,6 +410,9 @@ def real_liouvillian(model: LindbladModel):
     real = sparse.csr_array((np.ascontiguousarray(full.data.real), full.indices,
                              full.indptr), shape=full.shape)
     real.eliminate_zeros()
+    # once, here: scipy sorts an unsorted CSR in place on calls such as abs(), which
+    # would move the rounding of every later L @ v
+    real.sort_indices()
     return real, dropped
 
 

@@ -495,7 +495,7 @@ def _run_cooling_rate_compare(config):
     p = config.params
     solver = config.solver
     lam = p.lambda_coupling
-    rows, nfev = [], 0
+    rows, nfev, leakage = [], 0, 0.0
     for m_r in grid:
         pp = _at_optimal_detuning(p, float(m_r))
         model = build_three_level_model(pp, solver.fock_dim)
@@ -513,11 +513,13 @@ def _run_cooling_rate_compare(config):
                      analytic.w / lam, decay.n_ss_fit, decay.residual_rms,
                      decay.fit_window[0], decay.fit_window[1]])
         nfev += series.meta["nfev"]
+        leakage = max(leakage, series.meta["max_leakage"])
     write_csv(config.output_dir / "cooling_rate.csv",
               ["m_r", "w_fit", "w_analytic", "w_fit_over_lambda",
                "w_analytic_over_lambda", "n_ss_fit", "residual_rms",
                "fit_t_start", "fit_t_end"], rows)
-    return ["cooling_rate.csv"], {"points": len(grid), "nfev": nfev}
+    return ["cooling_rate.csv"], {"points": len(grid), "nfev": nfev,
+                                  "max_leakage": leakage}
 
 
 def _robustness_grid(params, sweep):
@@ -556,6 +558,7 @@ def _run_recycling_check(config):
         stats[f"nfev_{name}"] = series.meta["nfev"]
         stats[f"coordinates_{name}"] = series.meta["coordinates"]
         stats[f"sector_{name}"] = series.meta["sector"]
+        stats[f"max_leakage_{name}"] = series.meta["max_leakage"]
     write_csv(config.output_dir / "recycling.csv", ["t", "n3", "n4", "n7"],
               np.column_stack([series.times, *curves.values()]))
     for a, b in (("n3", "n4"), ("n3", "n7"), ("n4", "n7")):
@@ -571,7 +574,7 @@ def _run_nuclear_bath(config):
     # default {0, 0.1, 0.5} MHz converted to omega_m units
     deltas = _default_axis(config.sweep, "delta_max",
                            values=np.array([0.0, 0.1, 0.5]) * TWO_PI * 1e6 / p.omega_m)
-    mean_curves, summary_rows, nfev = [], [], 0
+    mean_curves, summary_rows, nfev, leakage = [], [], 0, 0.0
     for dm in deltas:
         result = dynamics.monte_carlo_detuning(
             p, float(dm), config.mc_samples, config.seed, solver.fock_dim,
@@ -579,12 +582,13 @@ def _run_nuclear_bath(config):
         mean_curves.append(result.mean_n)
         summary_rows.append([float(dm), result.n_ss_mean, result.cooling_time])
         nfev += result.meta["nfev_total"]
+        leakage = max(leakage, result.meta["max_leakage"])
     header = ["t"] + [f"mean_n_delta_{i}" for i in range(len(deltas))]
     write_csv(config.output_dir / "nuclear_mean_n.csv", header,
               np.column_stack([result.times, *mean_curves]))
     write_csv(config.output_dir / "nuclear_summary.csv",
               ["delta_max", "n_ss_mean", "cooling_time"], summary_rows)
-    stats = {"samples": config.mc_samples, "nfev": nfev,
+    stats = {"samples": config.mc_samples, "nfev": nfev, "max_leakage": leakage,
              "deltas": ",".join(f"{d:g}" for d in deltas)}
     return ["nuclear_mean_n.csv", "nuclear_summary.csv"], stats
 

@@ -27,7 +27,7 @@ from eitcool.analytics import (absorption_spectrum, bloch_steady_state,
                                fluctuation_spectrum, rate_equation_evolve,
                                rate_in_khz, rates, thermal_occupation)
 from eitcool.constants import TWO_PI
-from eitcool.dynamics import evolve, extract_cooling_rate, steady_state
+from eitcool.dynamics import LEAKAGE_LIMIT, evolve, extract_cooling_rate, steady_state
 from eitcool.nvmodel import (build_four_level_model, build_seven_level_model,
                              build_three_level_model, dark_state_vector,
                              dressed_states, rotating_hamiltonian)
@@ -333,17 +333,24 @@ def test_acceptance_10_robustness_shape(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def nuclear_bath_run(tmp_path_factory):
-    """One run of configs/nuclear_bath.cfg: (output dir, manifest, seconds)."""
-    config = load_config(CONFIG_DIR / "nuclear_bath.cfg")
-    config.output_dir = tmp_path_factory.mktemp("nuclear_bath")
-    t0 = time.perf_counter()
-    manifest = run(config)
-    return config.output_dir, manifest, time.perf_counter() - t0
+def shipped_run(tmp_path_factory):
+    """shipped_run(name) runs configs/<name>.cfg once per module and returns
+    (output dir, manifest, seconds)."""
+    runs = {}
+
+    def get(name):
+        if name not in runs:
+            config = load_config(CONFIG_DIR / f"{name}.cfg")
+            config.output_dir = tmp_path_factory.mktemp(name)
+            t0 = time.perf_counter()
+            manifest = run(config)
+            runs[name] = config.output_dir, manifest, time.perf_counter() - t0
+        return runs[name]
+    return get
 
 
-def test_acceptance_11_nuclear_bath_determinism(tmp_path, nuclear_bath_run):
-    _, first, first_s = nuclear_bath_run
+def test_acceptance_11_nuclear_bath_determinism(tmp_path, shipped_run):
+    _, first, first_s = shipped_run("nuclear_bath")
     t0 = time.perf_counter()
     digests = [first.outputs]
     config = load_config(CONFIG_DIR / "nuclear_bath.cfg")
@@ -376,15 +383,10 @@ def _column_bound(name):
 @pytest.mark.filterwarnings("ignore:pump Rabi frequency")
 @pytest.mark.parametrize("name", ["recycling_check", "cooling_rate_compare",
                                   "nuclear_bath"])
-def test_simulated_outputs_match_references(name, tmp_path, request):
+def test_simulated_outputs_match_references(name, shipped_run):
     """Each simulated CSV of the shipped configs against the one committed
     under tests/reference_outputs/, column by column."""
-    if name == "nuclear_bath":
-        out, manifest, _ = request.getfixturevalue("nuclear_bath_run")
-    else:
-        config = load_config(CONFIG_DIR / f"{name}.cfg")
-        config.output_dir = out = tmp_path
-        manifest = run(config)
+    out, manifest, _ = shipped_run(name)
     references = sorted((REFERENCES / name).glob("*.csv"))
     assert sorted(manifest.outputs) == [path.name for path in references]
     for reference in references:
@@ -402,3 +404,14 @@ def test_simulated_outputs_match_references(name, tmp_path, request):
                     assert abs(float(g) - float(w)) <= bound * abs(float(w)), where
                 else:
                     assert abs(float(g) - float(w)) <= bound, where
+
+
+@pytest.mark.filterwarnings("ignore:pump Rabi frequency")
+@pytest.mark.parametrize("name, keys", [
+    ("recycling_check", ["max_leakage_n3", "max_leakage_n4", "max_leakage_n7"]),
+    ("cooling_rate_compare", ["max_leakage"]), ("nuclear_bath", ["max_leakage"])])
+def test_manifests_report_the_largest_leakage(name, keys, shipped_run):
+    stats = shipped_run(name)[1].solver_stats
+    assert sorted(key for key in stats if key.startswith("max_leakage")) == keys
+    for key in keys:
+        assert 0.0 <= stats[key] <= LEAKAGE_LIMIT, key

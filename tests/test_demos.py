@@ -49,3 +49,16 @@ def test_recycling_models_demo(tmp_path):
     out = run_demo("04_recycling_models.py", tmp_path)
     for pair in ("3-level vs 7-level", "3-level vs 4-level"):
         assert f"max pointwise relative deviation {pair}: " in out
+
+
+def test_nuclear_bath_ensemble_demo(tmp_path):
+    out = run_demo("05_nuclear_bath_ensemble.py", tmp_path)
+    rows = re.findall(r"^ +(\S+) +(\S+) +(\S+)   draws: \[(.*)\]$", out, re.M)
+    assert [float(row[0]) for row in rows] == [0.0, 0.2, 0.5]
+    # the draws print as plain floats, four per spread
+    assert all(len([float(d) for d in row[3].split(", ")]) == 4 for row in rows)
+    # the tail rises and the cooling time stretches as the spread grows
+    tails = [float(row[1]) for row in rows]
+    assert tails[0] < tails[1] < tails[2]
+    cooling = [float(row[2]) for row in rows]
+    assert cooling[0] <= cooling[1] <= cooling[2]

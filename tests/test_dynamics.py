@@ -228,6 +228,23 @@ class TestEvolve:
         with pytest.raises(LeakageError):
             evolve(model, rho0, 20.0, 41)
 
+    def test_two_level_ladder_has_no_top_to_leak_into(self):
+        # below fock_dim 3 the ladder-top row is zero: a full top level is no leak
+        model = damping_model(fock=2)
+        series = evolve(model, ops.basis_state(model.space, "g", 1), 1.0, 5)
+        assert series.column("n")[0] == 1.0
+        assert np.array_equal(series.leakage, np.zeros(5))
+
+    def test_three_level_ladder_reads_levels_one_and_two(self):
+        # a diagonal state under no dynamics: the top two levels of every
+        # internal level count, the ground level does not
+        space = ops.compose_space(("g", "e"), 3)
+        populations = np.array([[0.5 - 3e-5, 1e-5, 2e-5], [0.5 - 1e-5, 1e-5, 0.0]])
+        rho0 = ops.DensityMatrix(space, np.diag(populations.ravel()).astype(complex))
+        model = ops.LindbladModel(space, ops.identity(space) * 0.0, [])
+        series = evolve(model, rho0, 1.0, 3)
+        assert series.leakage == pytest.approx(np.full(3, 4e-5), rel=1e-12)
+
     def test_tolerance_domain(self):
         model = damping_model()
         rho0 = ops.basis_state(model.space, "g", 0)
@@ -559,15 +576,11 @@ class TestParitySector:
         checked = evolve(with_odd_observable(model), rho0, 5.0, 11)
         assert series.meta["sector"] == checked.meta["sector"] == "full"
         assert series.meta["coordinates"] == model.space.dim ** 2
-        # one more observable leaves the stepped state alone: the trace and the
-        # ladder top read it bit for bit, but numpy's mat-vec rounds each
-        # observable row by how many rows there are (it groups them by four)
-        assert np.array_equal(series.column("trace"), checked.column("trace"))
+        # one more observable leaves the stepped state and every other reading
+        # alone, bit for bit: each reading is one CSR row, summed by itself
         assert np.array_equal(series.leakage, checked.leakage)
-        for name in model.observables:
-            column = series.column(name)
-            assert (np.abs(column - checked.column(name)).max()
-                    <= 4 * np.finfo(float).eps * np.abs(column).max())
+        for name in series.records:
+            assert np.array_equal(series.column(name), checked.column(name)), name
 
     def test_the_full_path_matches_the_even_sector(self):
         model = build_three_level_model(FIG2A, 8)
@@ -843,6 +856,7 @@ class TestMonteCarlo:
         assert np.abs(out.mean_n - single.column("n")).max() < 1e-12
         # three equal shifts are one model, solved once
         assert out.meta["nfev_total"] == single.meta["nfev"]
+        assert out.meta["max_leakage"] == single.meta["max_leakage"]
         assert out.meta["propagate_s_total"] > 0.0
 
     def test_seed_reproducibility(self):

@@ -167,7 +167,8 @@ class TestModelBuilders:
         assert len(build_three_level_model(FIG2A, 4).channels) == 3
         thermal = FIG2A.replace(bath="thermal")
         assert len(build_three_level_model(thermal, 4).channels) == 4
-        assert len(build_four_level_model(fig7_params(), 4).channels) == 6
+        with pytest.warns(UserWarning, match="perturbative regime"):
+            assert len(build_four_level_model(fig7_params(), 4).channels) == 6
         assert len(build_seven_level_model(fig7_params(), 4).channels) == 8
 
     def test_pump_regime_warning_names_the_callers_line(self):
@@ -220,7 +221,8 @@ class TestModelBuilders:
     def test_four_level_zero_population_regression(self):
         # quasi-steady |0> occupation stays far below 1 under the full pump set
         p = fig7_params()
-        model = build_four_level_model(p, 10)
+        with pytest.warns(UserWarning, match="perturbative regime"):
+            model = build_four_level_model(p, 10)
         rho0 = ops.basis_state(model.space, "-1", 1)
         series = evolve(model, rho0, 40.0, 81)
         tail = series.column("p_0")[40:]

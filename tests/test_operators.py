@@ -235,6 +235,18 @@ class TestGenerator:
         model = thermal_random_model(np.random.default_rng(14))
         assert real_liouvillian(model)[0].data.flags.c_contiguous
 
+    def test_real_generator_indices_are_sorted(self):
+        # scipy sorts an unsorted CSR in place on calls such as abs(), which
+        # would reorder the generator's sums after it was built
+        model = thermal_random_model(np.random.default_rng(14))
+        L = real_liouvillian(model)[0]
+        assert L.has_sorted_indices
+        rows = np.repeat(np.arange(L.shape[0]), np.diff(L.indptr))
+        assert np.all((np.diff(rows) > 0) | (np.diff(L.indices) > 0))
+        indices, data = L.indices.copy(), L.data.copy()
+        abs(L)
+        assert np.array_equal(L.indices, indices) and np.array_equal(L.data, data)
+
     def test_dense_view_refuses_superoperator_beyond_memory(self, monkeypatch):
         # d = 400: the dense superoperator would need 16 * 400^4 bytes (about 410 GB);
         # sysconf reports 64 GB, so the outcome does not depend on the host's memory

@@ -492,7 +492,8 @@ class TestRunners:
                 "params.rabi_pump = 15.0\nparams.eta = 0.115\n"
                 "solver.fock_dim = 12\nsolver.t_final = 30.0\n"
                 "solver.sample_count = 31\n").format(out=tmp_path)
-        manifest = run(parse_config(text))
+        with pytest.warns(UserWarning, match="perturbative regime"):
+            manifest = run(parse_config(text))
         header, rows = read_csv(tmp_path / "recycling.csv")
         assert header == ["t", "n3", "n4", "n7"]
         assert rows[0, 1:] == pytest.approx([3.0, 3.0, 3.0])
