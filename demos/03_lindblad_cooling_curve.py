@@ -5,7 +5,8 @@ A three-level Lindblad model (36-dimensional: three internal levels times a
 The rate model predicts exponential relaxation at W = A- - A+; the full
 numerics cool somewhat slower in this non-resolved regime (Gamma = 15
 omega_m) and settle at a higher bare-basis phonon number, part of which is
-the polaron-dressing offset ~ 2 eta^2 rather than real heating.
+a bare-basis offset of order eta^2 (see README's caveats) rather than real
+heating.
 """
 
 import numpy as np
@@ -40,7 +41,7 @@ print(f"fitted tail <n>    : {fit.n_ss_fit:.4f}")
 rho_ss = steady_state(model)
 n_ss_full = expectation(rho_ss, model.observables["n"]).real
 print(f"Liouvillian steady <n>: {n_ss_full:.4f} "
-      f"(rate model: {report.n_ss:.4f}; bare-basis dressing adds ~2 eta^2 = "
-      f"{2 * params.eta**2:.4f})")
+      f"(rate model: {report.n_ss:.4f}; the gap is "
+      f"{(n_ss_full - report.n_ss) / params.eta**2:.2f} eta^2)")
 print(f"trace drift {np.abs(series.column('trace') - 1).max():.1e}, "
       f"max ladder-top population {series.leakage.max():.1e}")

@@ -4,25 +4,21 @@ nanomechanical cantilever coupled to an NV center by a magnetic field gradient."
 __version__ = "0.1.0"
 
 from .analytics import (RateReport, SpectrumSeries, absorption_spectrum,
-                        analytic_trajectory, bloch_steady_state,
-                        correlation_transform_closed_form,
-                        correlation_transform_numeric, fluctuation_spectrum,
-                        rate_equation_evolve, rate_in_khz, rates,
+                        analytic_trajectory, correlation_transform_closed_form,
+                        fluctuation_spectrum, rate_in_khz, rates,
                         rates_at_optimum, steady_phonon_terms, thermal_occupation)
 from .effective import (EffectiveRates, effective_pump_rates,
                         renormalized_decays, stark_shift)
 from .nvmodel import (DressedStateReport, build_four_level_model,
                       build_seven_level_model, build_three_level_model,
-                      dark_state_vector, dressed_states,
-                      effective_hamiltonian, lamb_dicke_from_physical,
-                      optimal_detuning, polaron_generator,
-                      rotating_hamiltonian)
+                      dark_state_vector, dressed_states, lamb_dicke_from_physical,
+                      optimal_detuning, rotating_hamiltonian)
 from .operators import (DensityMatrix, DimensionError, HilbertSpace,
                         LindbladModel, Operator, annihilation, basis_state,
                         compose_space, expectation, hermitian_coordinates,
-                        identity, internal_space, liouvillian, lindblad_rhs,
-                        liouvillian_matrix, number_operator, product_state,
-                        real_liouvillian, transition)
+                        liouvillian, lindblad_rhs, liouvillian_matrix,
+                        number_operator, product_state, real_liouvillian,
+                        transition)
 from .params import ModelParams
 from .scenarios import ConfigError, ScenarioConfig, load_config, run
 

@@ -1,5 +1,6 @@
 """Closed-form layer: fluctuation spectrum, cooling/heating coefficients,
-phonon rate equation, Bloch steady state and the regression-theorem oracle.
+steady phonon number, and the Bloch system whose correlation block gives the
+absorption spectrum.
 
 Everything is expressed in units of omega_m = 1; only thermal_occupation and
 the kHz reporting helpers touch SI quantities.
@@ -12,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import operators as ops
 from .constants import HBAR, K_B, TWO_PI
 from .nvmodel import optimal_detuning
-from .operators import DensityMatrix
 from .params import ModelParams
 
 
@@ -153,81 +152,7 @@ def analytic_trajectory(report: RateReport, gamma_m, thermal_n, t):
 
 
 # ---------------------------------------------------------------------------
-# phonon-ladder rate equation (independent oracle; no density matrices)
-
-@dataclass
-class RateEquationResult:
-    times: np.ndarray
-    probabilities: np.ndarray   # shape (len(times), n_max + 1)
-    mean_n: np.ndarray
-    max_top_population: float
-    max_leakage: float          # 1 - min_t sum_n P(n, t)
-
-
-def rate_equation_evolve(a_plus, a_minus, gamma_m, thermal_n, p0, t_final,
-                         sample_count, n_max) -> RateEquationResult:
-    """Propagate the birth-death chain for the Fock occupation probabilities.
-
-    dP(n)/dt = D[(n+1)P(n+1) - nP(n)] + U[nP(n-1) - (n+1)P(n)] with
-    D = A_- + (N+1) gamma_m and U = A_+ + N gamma_m, truncated at n_max with
-    the top-level outflow monitored as leakage, sampled on
-    np.linspace(0, t_final, sample_count) as in `dynamics.evolve`.
-
-    Each substep is exactly exp(hG) = sum_j Pois(j; qh) P^j (uniformization:
-    Jensen, Skand. Aktuarietidskr. 36, 87 (1953)) with q = max |G_nn| and
-    P = I + G/q >= 0, so no term cancels another.  The sum is formed once, by
-    elementwise updates of P's three diagonals, until j >= qh and a Poisson
-    weight is below 1e-18.  A term costs several dense passes and a substep one
-    mat-vec, so qh <= 20, far below the 700 where e^(-qh) leaves the normal range.
-    """
-    if min(a_plus, a_minus, gamma_m, thermal_n) < 0:
-        raise ValueError("rates and thermal occupation must be >= 0")
-    if not t_final > 0 or sample_count < 2:
-        raise ValueError("need t_final > 0 and at least two samples")
-    p0 = np.asarray(p0, dtype=float)
-    if p0.ndim != 1 or len(p0) > n_max + 1:
-        raise ValueError("p0 must be a 1-d distribution over at most n_max + 1 levels")
-    if abs(p0.sum() - 1.0) > 1e-9 or p0.min() < -0.0:
-        raise ValueError("p0 must be a normalized distribution")
-    times = np.linspace(0.0, float(t_final), int(sample_count))
-
-    down = a_minus + (thermal_n + 1.0) * gamma_m
-    up = a_plus + thermal_n * gamma_m
-    n = np.arange(n_max + 1)
-    outflow = down * n + up * (n + 1)        # -G_nn, largest at the top level
-    q = outflow[-1] or 1.0
-    substeps = math.ceil(q * times[1] / 20.0)
-    lam = q * times[1] / substeps
-    # row n of P X is stay[n] X[n] + rise[n] X[n-1] + fall[n] X[n+1]
-    stay, rise, fall = 1.0 - outflow / q, up * n[1:] / q, down * n[1:] / q
-    power, weight, j = np.eye(n_max + 1), math.exp(-lam), 0
-    step = weight * power
-    while j < lam or weight >= 1e-18:
-        j += 1
-        product = stay[:, None] * power
-        product[1:] += rise[:, None] * power[:-1]
-        product[:-1] += fall[:, None] * power[1:]
-        power, weight = product, weight * lam / j
-        step += weight * power
-
-    probs = np.zeros((len(times), n_max + 1))
-    probs[0, : len(p0)] = p0
-    for k in range(1, len(times)):
-        probs[k] = probs[k - 1]
-        for _ in range(substeps):
-            probs[k] = step @ probs[k]
-    max_leak = float(1.0 - probs.sum(axis=1).min())
-    max_top = float(probs[:, -1].max())
-    if max_leak > 1e-6 or max_top > 1e-6:
-        raise ValueError(
-            f"probability leakage at n_max: top population {max_top:.3e}, "
-            f"lost probability {max_leak:.3e}; increase n_max")
-    return RateEquationResult(times=times, probabilities=probs, mean_n=probs @ n,
-                              max_top_population=max_top, max_leakage=max_leak)
-
-
-# ---------------------------------------------------------------------------
-# internal-state Bloch system (bright/dark basis) and the regression oracle
+# internal-state Bloch system (bright/dark basis) and the absorption spectrum
 
 def bloch_system(params: ModelParams):
     """Affine generator (M, c) for d<v>/dt = M <v> + c over the 8 Bloch variables.
@@ -261,30 +186,6 @@ def bloch_system(params: ModelParams):
     return M, c
 
 
-def bloch_steady_state(params: ModelParams) -> DensityMatrix:
-    """Steady internal state from the Bloch fixed point (expected: pure dark state)."""
-    if params.gamma_total <= 0 or params.rabi_omega0 <= 0:
-        raise ValueError("Bloch steady state needs Gamma > 0 and Omega_0 > 0")
-    M, c = bloch_system(params)
-    try:
-        v = np.linalg.solve(M, -c)
-    except np.linalg.LinAlgError as err:
-        raise ValueError(f"singular Bloch system: {err}") from None
-    rho_bb, rho_dd = v[0], v[1]
-    rho_aa = 1.0 - rho_bb - rho_dd
-    # rho_mn = (<sx^{mn}> - i <sy^{mn}>)/2 for m != n
-    rho = np.zeros((3, 3), dtype=complex)   # basis (b, d, A2)
-    rho[0, 0], rho[1, 1], rho[2, 2] = rho_bb, rho_dd, rho_aa
-    rho[0, 1] = (v[2] - 1j * v[3]) / 2.0; rho[1, 0] = rho[0, 1].conjugate()
-    rho[2, 0] = (v[4] - 1j * v[5]) / 2.0; rho[0, 2] = rho[2, 0].conjugate()
-    rho[2, 1] = (v[6] - 1j * v[7]) / 2.0; rho[1, 2] = rho[2, 1].conjugate()
-    # rotate (b, d, A2) -> (+1, -1, A2)
-    s = 1 / math.sqrt(2)
-    T = np.array([[s, s, 0.0], [s, -s, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
-    space = ops.internal_space(("+1", "-1", "A2"))
-    return DensityMatrix(space, T @ rho @ T.conj().T)
-
-
 def _correlation_block(params: ModelParams):
     """Propagating 4-variable block (sx_bd, sy_bd, sx_A2d, sy_A2d) and its IC;
     raises unless the correlation decays.
@@ -311,40 +212,6 @@ def _resolvent(block, g0, omegas):
     A = -1j * np.asarray(omegas)[..., None, None] * np.eye(4)
     A -= block   # in place, so a grid of n omegas holds one (n, 4, 4) array
     return np.linalg.solve(A, g0[:, None])[..., 3, 0]
-
-
-def correlation_transform_numeric(params: ModelParams, omega,
-                                  method="resolvent") -> complex:
-    """One-sided transform of <sigma_y^{A2,d}(t) sigma_y^{A2,d}(0)>_ss.
-
-    "resolvent" solves (-i omega I - M) x = g(0); "quadrature" evaluates the
-    correlation g(t) = exp(M t) g(0) from the eigendecomposition of M and
-    applies Simpson's rule with an exponential tail bound.
-    Both must match the closed form 2 i w / (i Gamma w + 2 Delta w + 2 w^2 - Omega_0^2).
-    """
-    block, g0 = _correlation_block(params)
-    if method == "resolvent":
-        return complex(_resolvent(block, g0, omega))
-    if method == "quadrature":
-        return _correlation_quadrature(block, g0, omega)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _correlation_quadrature(block, g0, omega):
-    eigs, vecs = np.linalg.eig(block)
-    abscissa = float(eigs.real.max())
-    # horizon where |g| e^{alpha t} / |alpha| bounds the dropped tail below 1e-9
-    t_end = math.log(max(np.linalg.norm(g0), 1.0) / (1e-9 * abs(abscissa))) / abs(abscissa)
-    freq_max = max(float(np.abs(eigs.imag).max()), abs(omega), 1.0)
-    n_steps = int(max(2000, 40 * freq_max * t_end))
-    if n_steps % 2:
-        n_steps += 1
-    ts = np.linspace(0.0, t_end, n_steps + 1)
-    # sy_A2d of g(t) = V exp(Lambda t) V^-1 g(0), exact at every node
-    weights = vecs[3] * np.linalg.solve(vecs, g0)
-    f = np.exp(1j * omega * ts) * (np.exp(np.outer(ts, eigs)) @ weights)
-    # composite Simpson's rule over the even number of intervals
-    return complex((f[0] + f[-1] + 4 * f[1::2].sum() + 2 * f[2:-1:2].sum()) * ts[1] / 3)
 
 
 def correlation_transform_closed_form(params: ModelParams, omega) -> complex:

@@ -447,7 +447,7 @@ def monte_carlo_detuning(base: ModelParams, delta_max, samples, seed, fock_dim,
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     units = rng.uniform(-1.0, 1.0, size=samples)
-    deltas = delta_max * units
+    deltas = delta_max * units + 0.0    # delta_max = 0 draws +0.0, never -0.0
 
     rho0 = ops.basis_state(ops.compose_space(LAMBDA_LEVELS, fock_dim), "-1",
                            min(3, fock_dim - 2))

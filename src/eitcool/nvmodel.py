@@ -55,14 +55,6 @@ def dark_state_vector(space) -> np.ndarray:
     return v
 
 
-def bright_state_vector(space) -> np.ndarray:
-    """Internal amplitude vector of |B> = (|+1> + |-1>)/sqrt(2)."""
-    v = np.zeros(space.n_internal, dtype=complex)
-    v[space.internal_index("+1")] = 1 / math.sqrt(2)
-    v[space.internal_index("-1")] = 1 / math.sqrt(2)
-    return v
-
-
 def rotating_hamiltonian(params: ModelParams, space: HilbertSpace) -> Operator:
     """Time-independent frame Hamiltonian of the driven Lambda system.
 
@@ -120,40 +112,6 @@ def transition_sym(space, a, b) -> Operator:
     if a == b:
         return t
     return t + ops.transition(space, b, a)
-
-
-def effective_hamiltonian(params: ModelParams, space: HilbertSpace):
-    """Polaron-frame split (H0, V) of the rotating Hamiltonian, first order in eta.
-
-    H0 couples only the bright combination to |A2> (strength sqrt(2)/2 Omega_0);
-    V = eta (b - b^dag)((Omega_0/sqrt(2)) |A2><d| - h.c.) carries all phonon
-    sidebands of the dark state.
-    """
-    _require_levels(space, LAMBDA_LEVELS)
-    nI = space.n_internal
-    H0 = ops.number_operator(space).matrix
-    H0 = H0 - params.detuning * ops.transition(space, "A2", "A2").matrix
-    bright = bright_state_vector(space)
-    a2 = np.zeros(nI, dtype=complex)
-    a2[space.internal_index("A2")] = 1.0
-    a2_bright = np.outer(a2, bright.conj())
-    H0 = H0 + (math.sqrt(2) / 2) * params.rabi_omega0 * np.kron(
-        a2_bright + a2_bright.conj().T, np.eye(space.fock_dim))
-
-    dark = dark_state_vector(space)
-    a2_dark = np.outer(a2, dark.conj())
-    ladder = ops.fock_ladder(space.fock_dim)
-    V = params.eta * np.kron(
-        (params.rabi_omega0 / math.sqrt(2)) * (a2_dark - a2_dark.conj().T),
-        ladder - ladder.T)
-    return Operator(space, H0), Operator(space, V)
-
-
-def polaron_generator(params: ModelParams, space: HilbertSpace) -> Operator:
-    """Hermitian S with e^{-iS} H^rot e^{iS} = H0 + V + O(eta^2)."""
-    _require_levels(space, LAMBDA_LEVELS)
-    ladder = ops.fock_ladder(space.fock_dim)
-    return Operator(space, -1j * params.eta * np.kron(_zeeman(space), ladder - ladder.T))
 
 
 def dressed_states(params: ModelParams) -> DressedStateReport:

@@ -93,11 +93,6 @@ def compose_space(internal_labels, fock_dim) -> HilbertSpace:
     return space
 
 
-def internal_space(internal_labels) -> HilbertSpace:
-    """Space carrying only internal levels (degenerate fock_dim = 1)."""
-    return HilbertSpace(tuple(internal_labels), 1)
-
-
 @dataclass
 class Operator:
     """Dense complex matrix tagged with its space."""
@@ -131,10 +126,6 @@ class Operator:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        self._same_space(other)
-        return Operator(self.space, self.matrix @ other.matrix)
-
     def _same_space(self, other):
         if other.space.dim != self.space.dim:
             raise DimensionError("operators live on different spaces")
@@ -142,7 +133,7 @@ class Operator:
 
 @dataclass
 class DensityMatrix:
-    """State on a composite space; validation is explicit (it costs O(d^3))."""
+    """State on a composite space; `evolve` checks its trace and Hermiticity."""
 
     space: HilbertSpace
     matrix: np.ndarray
@@ -159,23 +150,6 @@ class DensityMatrix:
 
     def hermiticity_residual(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-    def min_eigenvalue(self) -> float:
-        herm = (self.matrix + self.matrix.conj().T) / 2
-        return float(np.linalg.eigvalsh(herm)[0])
-
-    def validate(self, herm_tol=1e-10, trace_tol=1e-9, eig_floor=-1e-8):
-        """Raise ValueError unless Hermitian, unit trace and positive (within floors)."""
-        residual = self.hermiticity_residual()
-        if not residual <= herm_tol:
-            raise ValueError(f"state not Hermitian: residual {residual:.3e}")
-        tr = self.trace()
-        if not abs(tr - 1.0) <= trace_tol:
-            raise ValueError(f"state trace {tr} deviates from 1")
-        lo = self.min_eigenvalue()
-        if not lo >= eig_floor:
-            raise ValueError(f"state has eigenvalue {lo:.3e} below floor {eig_floor}")
-        return self
 
 
 @dataclass
@@ -201,10 +175,6 @@ class LindbladModel:
 
 # ---------------------------------------------------------------------------
 # operator constructors
-
-def identity(space) -> Operator:
-    return Operator(space, np.eye(space.dim, dtype=complex))
-
 
 def fock_ladder(fock_dim) -> np.ndarray:
     """The Fock factor of b: sqrt(n) on the superdiagonal, fock_dim x fock_dim."""

@@ -21,11 +21,10 @@ import numpy as np
 import pytest
 
 import eitcool.operators as ops
-from eitcool.analytics import (absorption_spectrum, bloch_steady_state,
+from eitcool.analytics import (absorption_spectrum,
                                correlation_transform_closed_form,
-                               correlation_transform_numeric,
-                               fluctuation_spectrum, rate_equation_evolve,
-                               rate_in_khz, rates, thermal_occupation)
+                               fluctuation_spectrum, rate_in_khz, rates,
+                               thermal_occupation)
 from eitcool.constants import TWO_PI
 from eitcool.dynamics import LEAKAGE_LIMIT, evolve, extract_cooling_rate, steady_state
 from eitcool.nvmodel import (build_four_level_model, build_seven_level_model,
@@ -33,6 +32,8 @@ from eitcool.nvmodel import (build_four_level_model, build_seven_level_model,
                              dressed_states, rotating_hamiltonian)
 from eitcool.params import ModelParams
 from eitcool.scenarios import load_config, parse_config, run
+from oracles import (bloch_steady_state, correlation_transform_numeric,
+                     rate_equation_evolve)
 from test_dynamics import min_eigenvalue_along
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -110,7 +111,7 @@ def test_acceptance_04_dark_steady_state():
     worst_bloch, worst_liouville = 0.0, 0.0
     for _ in range(20):
         p = random_params(rng)
-        space = ops.internal_space(("+1", "-1", "A2"))
+        space = ops.HilbertSpace(("+1", "-1", "A2"), 1)
         dark = dark_state_vector(space)
         rho_b = bloch_steady_state(p)
         worst_bloch = max(worst_bloch,

@@ -134,7 +134,7 @@ def test_rates_against_pump_subsystem_dynamics(pump_fraction):
     pump = total * pump_fraction
     rates = effective_pump_rates(pump, 0.0, Gamma_0, Gamma_p1, Gamma_m1)
 
-    space = ops.internal_space(("0", "Ey", "+1", "-1"))
+    space = ops.HilbertSpace(("0", "Ey", "+1", "-1"), 1)
     drive = ops.transition(space, "Ey", "0")
     H = (pump / 2) * (drive + drive.dagger())
     channels = [(Gamma_0, ops.transition(space, "0", "Ey")),

@@ -1,7 +1,8 @@
 """Only the solver loads scipy: `eitcool.dynamics` and the simulated scenarios
-that call it.  `import eitcool`, the config tools, the closed-form runs and the
-closed-form oracles load numpy only, which is most of their cold start saved.
-`import eitcool` loads neither `fractions` nor `decimal`."""
+that call it.  `import eitcool`, the config tools and the closed-form runs load
+numpy only, which is most of their cold start saved, and so do the closed-form
+oracles of tests/oracles.py.  `import eitcool` loads neither `fractions` nor
+`decimal`."""
 
 import json
 import os
@@ -87,11 +88,13 @@ def test_closed_form_run_loads_no_scipy(name, tmp_path):
 
 def test_closed_form_oracles_load_no_scipy():
     assert scipy_modules_after("""
-        from eitcool.analytics import correlation_transform_numeric, rate_equation_evolve
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        from oracles import correlation_transform_numeric, rate_equation_evolve
         from eitcool.params import ModelParams
         rate_equation_evolve(0.02, 0.4, 0.01, 1.2, [1.0], 30.0, 31, 40)
         correlation_transform_numeric(ModelParams(), 1.0, method="quadrature")
-        """) == []
+        """, REPO / "tests") == []
 
 
 def test_solver_loads_scipy_linalg():

@@ -8,13 +8,13 @@ from scipy.linalg import expm
 import eitcool.operators as ops
 from eitcool.dynamics import evolve, reachable_coordinates
 from eitcool.effective import effective_pump_rates
-from eitcool.nvmodel import (bright_state_vector, build_four_level_model,
-                             build_seven_level_model, build_three_level_model,
-                             dark_state_vector, dressed_states, effective_hamiltonian,
-                             lamb_dicke_from_physical, optimal_detuning,
-                             polaron_generator, rotating_hamiltonian)
+from eitcool.nvmodel import (build_four_level_model, build_seven_level_model,
+                             build_three_level_model, dark_state_vector,
+                             dressed_states, lamb_dicke_from_physical,
+                             optimal_detuning, rotating_hamiltonian)
 from eitcool.params import ModelParams
 from eitcool.scenarios import load_config
+from oracles import bright_state_vector, effective_hamiltonian, polaron_generator
 
 RECYCLING_CHECK = Path(__file__).resolve().parent.parent / "configs" / "recycling_check.cfg"
 
@@ -362,7 +362,7 @@ class TestLambDicke:
 
 
 def test_bright_dark_orthonormal():
-    space = ops.internal_space(("+1", "-1", "A2"))
+    space = ops.HilbertSpace(("+1", "-1", "A2"), 1)
     d, b = dark_state_vector(space), bright_state_vector(space)
     assert abs(d.conj() @ b) < 1e-15
     assert d.conj() @ d == pytest.approx(1.0)
