@@ -1,10 +1,11 @@
 """The EIT dark dip and dressed-state resonances in the sideband absorption.
 
-The spectrum is the real part of the dark-state force correlation transform,
-computed point by point from the Bloch equations (a linear solve per
-frequency), normalized to a unit peak.  At two-photon resonance (omega = 0)
-the dark state decouples exactly; the maxima sit exactly at the dressed
-energies E+- because the transform's denominator loses its real part there.
+The spectrum is (Gamma/2) Re of the closed-form dark-state correlation
+transform, 2 Gamma w^2 / |i Gamma w + 2 Delta w + 2 w^2 - Omega_0^2|^2,
+evaluated over the whole grid in one call.  At two-photon resonance
+(omega = 0) the dark state decouples exactly; the maxima sit exactly at the
+dressed energies E+-, where the transform's denominator loses its real part
+and the spectrum reaches 1.
 """
 
 import numpy as np

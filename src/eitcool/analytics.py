@@ -1,6 +1,6 @@
 """Closed-form layer: fluctuation spectrum, cooling/heating coefficients,
-steady phonon number, and the Bloch system whose correlation block gives the
-absorption spectrum.
+steady phonon number, and the absorption spectrum from the closed-form
+correlation transform.
 
 Everything is expressed in units of omega_m = 1; only thermal_occupation and
 the kHz reporting helpers touch SI quantities.
@@ -59,8 +59,9 @@ def thermal_occupation(omega_m, temperature):
     return float(n) if n.ndim == 0 else n
 
 
-def fluctuation_spectrum(params: ModelParams, omega) -> complex:
-    """S(omega) = eta^2 (Omega_0^2/2) times the closed-form correlation transform."""
+def fluctuation_spectrum(params: ModelParams, omega):
+    """S(omega) = eta^2 (Omega_0^2/2) times the closed-form correlation transform;
+    omega may be a grid, and a float gives a complex."""
     return (params.eta**2 * (params.rabi_omega0**2 / 2.0)
             * correlation_transform_closed_form(params, omega))
 
@@ -152,89 +153,42 @@ def analytic_trajectory(report: RateReport, gamma_m, thermal_n, t):
 
 
 # ---------------------------------------------------------------------------
-# internal-state Bloch system (bright/dark basis) and the absorption spectrum
+# correlation transform and the absorption spectrum
 
-def bloch_system(params: ModelParams):
-    """Affine generator (M, c) for d<v>/dt = M <v> + c over the 8 Bloch variables.
+def correlation_transform_closed_form(params: ModelParams, omega):
+    """2 i w / (i Gamma w + 2 Delta w + 2 w^2 - Omega_0^2), the one-sided
+    transform of the excited-dark correlation <sigma_y^{A2,d}(t) sigma_y^{A2,d}(0)>_ss.
 
-    Variables, in order: rho_bb, rho_dd, sx_bd, sy_bd, sx_A2b, sy_A2b, sx_A2d,
-    sy_A2d, the populations of bright/dark states and the x/y quadratures of the
-    bright-dark and excited-state coherences; the excited population is
-    eliminated through the trace.  Decay feeds bright and dark equally at
-    Gamma/2.  The excited-coherence drive term enters with the sign that makes
-    the generator the projection of the master equation (contractive); see the
-    regression tests for the superoperator cross-check.
+    omega (and the parameters) may be grids, which broadcast; a float omega
+    with scalar parameters gives a complex.
     """
-    omega0, delta, gamma = params.rabi_omega0, params.detuning, params.gamma_total
-    q = math.sqrt(2) * omega0 / 2.0
-    gb = gd = gamma / 2.0
-    M = np.zeros((8, 8))
-    c = np.zeros(8)
-    # populations
-    M[0, 5] = -q; M[0, 0] = -gb; M[0, 1] = -gb; c[0] = gb
-    M[1, 0] = -gd; M[1, 1] = -gd; c[1] = gd
-    # ground-state coherence
-    M[2, 7] = -q
-    M[3, 6] = q
-    # excited coherence to the bright state
-    M[4, 4] = -gamma / 2; M[4, 5] = delta
-    M[5, 5] = -gamma / 2; M[5, 4] = -delta
-    M[5, 0] = 2.0 * 2.0 * q; M[5, 1] = 2.0 * q; c[5] = -2.0 * q
-    # excited coherence to the dark state
-    M[6, 6] = -gamma / 2; M[6, 3] = -q; M[6, 7] = delta
-    M[7, 7] = -gamma / 2; M[7, 2] = q; M[7, 6] = -delta
-    return M, c
-
-
-def _correlation_block(params: ModelParams):
-    """Propagating 4-variable block (sx_bd, sy_bd, sx_A2d, sy_A2d) and its IC;
-    raises unless the correlation decays.
-
-    Initial values are <v sigma_y^{A2,d}>_ss in the dark state: (0, 0, -i, 1).
-    """
-    if params.gamma_total <= 0 or params.rabi_omega0 <= 0:
-        raise ValueError("correlation transform needs Gamma > 0 and Omega_0 > 0")
-    M, _ = bloch_system(params)
-    idx = [2, 3, 6, 7]
-    block = M[np.ix_(idx, idx)]
-    eigs = np.linalg.eigvals(block)
-    abscissa = float(eigs.real.max())
-    if abscissa >= 0:
-        raise ValueError(
-            f"non-decaying correlation (spectral abscissa {abscissa:.3e} >= 0)")
-    g0 = np.array([0.0, 0.0, -1j, 1.0], dtype=complex)
-    return block, g0
-
-
-def _resolvent(block, g0, omegas):
-    """sy_A2d of (-i omega I - M)^-1 g(0); a grid of omegas is one batched solve."""
-    # nonsingular for real omega: every eigenvalue of M has Re < 0
-    A = -1j * np.asarray(omegas)[..., None, None] * np.eye(4)
-    A -= block   # in place, so a grid of n omegas holds one (n, 4, 4) array
-    return np.linalg.solve(A, g0[:, None])[..., 3, 0]
-
-
-def correlation_transform_closed_form(params: ModelParams, omega) -> complex:
-    """2 i w / (i Gamma w + 2 Delta w + 2 w^2 - Omega_0^2)."""
     gamma, delta, omega0 = params.gamma_total, params.detuning, params.rabi_omega0
-    denom = 1j * gamma * omega + 2.0 * delta * omega + 2.0 * omega**2 - omega0**2
-    if abs(denom) < 1e-14:
-        raise ZeroDivisionError(f"transform pole at omega = {omega}")
-    return 2j * omega / denom
+    omega = np.asarray(omega, dtype=float)
+    # np.square, not **: a float's ** is libm pow, and a grid must round as its points do
+    denom = (1j * gamma * omega + 2.0 * delta * omega + 2.0 * np.square(omega)
+             - np.square(omega0))
+    at_pole = np.abs(denom) < 1e-14
+    if np.any(at_pole):
+        raise ZeroDivisionError(
+            f"transform pole at omega = {np.broadcast_to(omega, at_pole.shape)[at_pole][0]}")
+    out = 2j * omega / denom
+    return complex(out) if out.ndim == 0 else out
 
 
 def absorption_spectrum(params: ModelParams, probe_detuning_grid) -> SpectrumSeries:
     """Sideband absorption of the driven NV versus probe frequency offset.
 
-    Each point is a steady-state linear-response solve of the Bloch system
-    (resolvent of the correlation block, all points in one batched solve); the
-    result is normalized so the dressed-state resonances peak at 1.  The
-    two-photon-resonant point omega = 0 is an exact dark dip, and values are
-    non-negative.
+    (Gamma/2) Re of the correlation transform, 2 Gamma w^2 / |denominator|^2,
+    over the whole grid in one call: the dressed-state resonances, where the
+    denominator loses its real part, peak at exactly 1.  The two-photon-resonant
+    point omega = 0 is an exact dark dip, and values are non-negative.
     """
     grid = np.asarray(probe_detuning_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("probe detuning grid is empty")
-    block, g0 = _correlation_block(params)
-    values = (params.gamma_total / 2.0) * _resolvent(block, g0, grid).real
+    if params.gamma_total <= 0 or params.rabi_omega0 <= 0:
+        raise ValueError("correlation transform needs Gamma > 0 and Omega_0 > 0")
+    transform = correlation_transform_closed_form(params, grid)
+    # + 0.0 turns the dip's -0.0 into 0.0, which the CSV writes as 0, not -0
+    values = (params.gamma_total / 2.0) * transform.real + 0.0
     return SpectrumSeries(omegas=grid, values=values)

@@ -7,13 +7,16 @@ test can compare the two:
   the closed-form rates A+- of `analytics.rates`, propagated by uniformization
   without density matrices.  It checks the stationary mean of the closed forms
   and, in the Lamb-Dicke, weak-coupling limit, the whole <n(t)> of `evolve`.
-- `bloch_steady_state`: the internal steady state from the fixed point of the
-  affine Bloch system, which `dynamics.steady_state` must reproduce on the
-  internal Lindblad model (the pure dark state).
+- `bloch_system`: the affine Bloch system of the internal levels, which a
+  test checks against the projection of the master equation.
+- `bloch_steady_state`: the internal steady state from its fixed point, which
+  `dynamics.steady_state` must reproduce on the internal Lindblad model (the
+  pure dark state).
 - `correlation_transform_numeric`: the one-sided transform of the excited-dark
-  correlation by a resolvent solve or by quadrature of its eigendecomposition,
-  against `analytics.correlation_transform_closed_form` and the batched
-  resolvent of `analytics.absorption_spectrum`.
+  correlation from its correlation block, by a resolvent solve or by
+  quadrature of its eigendecomposition, against
+  `analytics.correlation_transform_closed_form` and so against
+  `analytics.absorption_spectrum`, which is (Gamma/2) Re of it.
 - `effective_hamiltonian`, `polaron_generator` and `bright_state_vector`: the
   polaron-frame split H0 + V of `nvmodel.rotating_hamiltonian`, which maps the
   scheme onto standard EIT cooling.
@@ -29,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from eitcool import operators as ops
-from eitcool.analytics import _correlation_block, _resolvent, bloch_system
 from eitcool.nvmodel import (LAMBDA_LEVELS, _require_levels, _zeeman,
                              dark_state_vector)
 from eitcool.operators import DensityMatrix, HilbertSpace, Operator
@@ -111,7 +113,68 @@ def rate_equation_evolve(a_plus, a_minus, gamma_m, thermal_n, p0, t_final,
 
 
 # ---------------------------------------------------------------------------
-# internal-state Bloch fixed point and the regression oracle
+# internal-state Bloch system (bright/dark basis): its fixed point and the
+# resolvent of its correlation block
+
+def bloch_system(params: ModelParams):
+    """Affine generator (M, c) for d<v>/dt = M <v> + c over the 8 Bloch variables.
+
+    Variables, in order: rho_bb, rho_dd, sx_bd, sy_bd, sx_A2b, sy_A2b, sx_A2d,
+    sy_A2d, the populations of bright/dark states and the x/y quadratures of the
+    bright-dark and excited-state coherences; the excited population is
+    eliminated through the trace.  Decay feeds bright and dark equally at
+    Gamma/2.  The excited-coherence drive term enters with the sign that makes
+    the generator the projection of the master equation (contractive); see the
+    regression tests for the superoperator cross-check.
+    """
+    omega0, delta, gamma = params.rabi_omega0, params.detuning, params.gamma_total
+    q = math.sqrt(2) * omega0 / 2.0
+    gb = gd = gamma / 2.0
+    M = np.zeros((8, 8))
+    c = np.zeros(8)
+    # populations
+    M[0, 5] = -q; M[0, 0] = -gb; M[0, 1] = -gb; c[0] = gb
+    M[1, 0] = -gd; M[1, 1] = -gd; c[1] = gd
+    # ground-state coherence
+    M[2, 7] = -q
+    M[3, 6] = q
+    # excited coherence to the bright state
+    M[4, 4] = -gamma / 2; M[4, 5] = delta
+    M[5, 5] = -gamma / 2; M[5, 4] = -delta
+    M[5, 0] = 2.0 * 2.0 * q; M[5, 1] = 2.0 * q; c[5] = -2.0 * q
+    # excited coherence to the dark state
+    M[6, 6] = -gamma / 2; M[6, 3] = -q; M[6, 7] = delta
+    M[7, 7] = -gamma / 2; M[7, 2] = q; M[7, 6] = -delta
+    return M, c
+
+
+def _correlation_block(params: ModelParams):
+    """Propagating 4-variable block (sx_bd, sy_bd, sx_A2d, sy_A2d) and its IC;
+    raises unless the correlation decays.
+
+    Initial values are <v sigma_y^{A2,d}>_ss in the dark state: (0, 0, -i, 1).
+    """
+    if params.gamma_total <= 0 or params.rabi_omega0 <= 0:
+        raise ValueError("correlation transform needs Gamma > 0 and Omega_0 > 0")
+    M, _ = bloch_system(params)
+    idx = [2, 3, 6, 7]
+    block = M[np.ix_(idx, idx)]
+    eigs = np.linalg.eigvals(block)
+    abscissa = float(eigs.real.max())
+    if abscissa >= 0:
+        raise ValueError(
+            f"non-decaying correlation (spectral abscissa {abscissa:.3e} >= 0)")
+    g0 = np.array([0.0, 0.0, -1j, 1.0], dtype=complex)
+    return block, g0
+
+
+def _resolvent(block, g0, omegas):
+    """sy_A2d of (-i omega I - M)^-1 g(0); a grid of omegas is one batched solve."""
+    # nonsingular for real omega: every eigenvalue of M has Re < 0
+    A = -1j * np.asarray(omegas)[..., None, None] * np.eye(4)
+    A -= block   # in place, so a grid of n omegas holds one (n, 4, 4) array
+    return np.linalg.solve(A, g0[:, None])[..., 3, 0]
+
 
 def bloch_steady_state(params: ModelParams) -> DensityMatrix:
     """Steady internal state from the Bloch fixed point (expected: pure dark state)."""

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eitcool.operators as ops
-import eitcool.analytics as analytics
 from eitcool.analytics import (RateReport, SpectrumSeries, absorption_spectrum,
-                               analytic_trajectory, bloch_system,
+                               analytic_trajectory,
                                correlation_transform_closed_form,
                                fluctuation_spectrum, rate_in_khz, rates,
                                rates_at_optimum, steady_occupation,
@@ -18,7 +17,8 @@ from eitcool.constants import TWO_PI
 from eitcool.nvmodel import (LAMBDA_LEVELS, dark_state_vector, dressed_states,
                              optimal_detuning)
 from eitcool.params import ModelParams
-from oracles import (bloch_steady_state, bright_state_vector,
+import oracles
+from oracles import (bloch_steady_state, bloch_system, bright_state_vector,
                      correlation_transform_numeric, effective_hamiltonian,
                      rate_equation_evolve)
 
@@ -72,6 +72,11 @@ class TestFluctuationSpectrum:
         # at omega with 2 w^2 = Omega_0^2 and Delta = 0 the denominator vanishes
         with pytest.raises(ZeroDivisionError):
             fluctuation_spectrum(p, math.sqrt(2.0))
+        # a grid holding a pole: at Gamma = Omega_0 = 0 the denominator vanishes at 0
+        p = ModelParams(gamma_total=0.0, rabi_omega0=0.0)
+        for transform in (correlation_transform_closed_form, fluctuation_spectrum):
+            with pytest.raises(ZeroDivisionError, match="^transform pole at omega = 0.0$"):
+                transform(p, np.array([-1.0, 0.0, 1.0]))
 
 
 class TestRates:
@@ -503,9 +508,50 @@ class TestWholeGrids:
         p = ModelParams(rabi_omega0=omega0, detuning=delta, gamma_total=gamma, eta=eta)
         grid = np.sort(omegas)
         series = absorption_spectrum(p, grid)
-        per_point = np.array([(gamma / 2.0) * correlation_transform_numeric(p, w).real
+        per_point = np.array([(gamma / 2.0) * correlation_transform_closed_form(p, w).real
                               for w in grid])
         assert np.abs(series.values - per_point).max() <= 1e-15 * np.abs(per_point).max()
+
+    @GRID_SETTINGS
+    @given(omega0=st.floats(0.5, 12.0), delta=st.floats(-40.0, 40.0),
+           gamma=st.floats(0.5, 30.0), eta=st.floats(0.0, 0.3),
+           omegas=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=30, unique=True))
+    def test_absorption_matches_the_bloch_resolvent(self, omega0, delta, gamma, eta,
+                                                    omegas):
+        # the second route: the resolvent of the Bloch correlation block
+        p = ModelParams(rabi_omega0=omega0, detuning=delta, gamma_total=gamma, eta=eta)
+        grid = np.sort(omegas)
+        series = absorption_spectrum(p, grid)
+        per_point = np.array([(gamma / 2.0) * correlation_transform_numeric(p, w).real
+                              for w in grid])
+        assert np.abs(series.values - per_point).max() <= 1e-12 * np.abs(per_point).max()
+
+    @GRID_SETTINGS
+    @given(omega0=st.floats(0.5, 12.0), delta=st.floats(-40.0, 40.0),
+           gamma=st.floats(0.5, 30.0), eta=st.floats(0.0, 0.3),
+           omegas=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=30))
+    def test_transform_on_a_grid_matches_per_point(self, omega0, delta, gamma, eta,
+                                                   omegas):
+        p = ModelParams(rabi_omega0=omega0, detuning=delta, gamma_total=gamma, eta=eta)
+        for transform in (correlation_transform_closed_form, fluctuation_spectrum):
+            per_point = [transform(p, w) for w in omegas]
+            assert all(type(value) is complex for value in per_point)
+            grid = transform(p, np.array(omegas))
+            assert np.abs(grid - per_point).max() <= 1e-15 * np.abs(per_point).max()
+
+    @GRID_SETTINGS
+    @given(omega0=st.lists(st.floats(0.5, 12.0), min_size=1, max_size=6),
+           delta=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=6),
+           gamma=st.floats(0.5, 30.0), eta=st.floats(0.0, 0.3))
+    def test_rates_are_twice_the_spectrum_at_the_sidebands(self, omega0, delta, gamma,
+                                                           eta):
+        # A+- = 2 Re S(-+ omega_m) on a parameter grid; rtol of criterion 02
+        p = ModelParams(gamma_total=gamma, eta=eta).replace(
+            rabi_omega0=np.array(omega0)[:, None], detuning=np.array(delta)[None, :])
+        report = rates(p)
+        s = fluctuation_spectrum(p, np.array([-1.0, 1.0])[:, None, None])
+        np.testing.assert_allclose(report.a_plus, 2 * s[0].real, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(report.a_minus, 2 * s[1].real, rtol=1e-12, atol=0)
 
     def test_steady_occupation_on_a_grid(self):
         w = np.array([[0.1, 0.0, -0.1]])
@@ -555,6 +601,11 @@ P0 = np.array([1.0, 0.0])
      "p0 must be a 1-d distribution over at most n_max + 1 levels"),
     (lambda: correlation_transform_numeric(ModelParams(gamma_total=0.0), 1.0),
      "correlation transform needs Gamma > 0 and Omega_0 > 0"),
+    (lambda: absorption_spectrum(ModelParams(gamma_total=0.0), [-1.0, 0.0, 1.0]),
+     "correlation transform needs Gamma > 0 and Omega_0 > 0"),
+    (lambda: absorption_spectrum(ModelParams(rabi_omega0=0.0), [-1.0, 0.0, 1.0]),
+     "correlation transform needs Gamma > 0 and Omega_0 > 0"),
+    (lambda: absorption_spectrum(FIG2A, []), "probe detuning grid is empty"),
     (lambda: correlation_transform_numeric(FIG2A, 1.0, method="simpson"),
      "unknown method 'simpson'"),
 ])
@@ -565,8 +616,8 @@ def test_argument_check(call, says):
 
 def test_non_decaying_correlation_is_rejected(monkeypatch):
     # a generator with no damping: every eigenvalue of the block is 0
-    monkeypatch.setattr(analytics, "bloch_system", lambda params: (np.zeros((8, 8)),
-                                                                   np.zeros(8)))
+    monkeypatch.setattr(oracles, "bloch_system", lambda params: (np.zeros((8, 8)),
+                                                                 np.zeros(8)))
     with pytest.raises(ValueError, match=re.escape(
             "non-decaying correlation (spectral abscissa 0.000e+00 >= 0)")):
         correlation_transform_numeric(FIG2A, 1.0)

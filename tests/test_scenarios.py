@@ -382,7 +382,7 @@ class TestShippedConfigs:
     def test_closed_form_hashes(self, tmp_path):
         # the full sha256 of every closed-form CSV, pinned
         want = {
-            "absorption.csv": "459a9e8821f6966c5c44b9ecb13c7ae19c1a09a5337579c7cbf62a34a6e317d9",
+            "absorption.csv": "384df384f4ecbf7d95193bc8ba0335e14b039266446c882bb1f29fdc4447b1b4",
             "rates_vs_mr.csv": "9538e6bcac5f2b4eb142a9212632be39e38db3e11fed0b38e5033fee0e612c0c",
             "nss_vs_mr.csv": "7d7ee6a762aea8b2867d7b89cd293d0c05300ba9a5de58f4b1a89781f5020206",
             "steady_map.csv": "16e8e6bd23c13fe26e82505bf8c6a27f325cad3af8d46deafa280d9943e8d949",
